@@ -31,7 +31,7 @@ from .errors import (
 from .models import MODEL_KEYS, SamplingPlan, SdeModel, estimate_lambda, get_model
 from .schemes import SCHEMES, scheme_radius
 from .stability import fit_exponent, run_stability_mc, verify_lemma_global_lipschitz, verify_lemma_lambda_preserved
-from .truncation import TruncationPolicy, default_policy, verify_step_condition
+from .truncation import default_policy, verify_step_condition
 
 __all__ = ["RunConfig", "parse_config", "run_command", "main"]
 
@@ -119,6 +119,10 @@ def _validate(config: RunConfig) -> RunConfig:
         raise ConfigError("model: 'linear' requires mu and sigma")
     if config.model == "example41" and (config.mu is not None or config.sigma is not None):
         raise ConfigError("model: 'example41' takes no mu/sigma parameters")
+    for key in ("mu", "sigma"):
+        value = getattr(config, key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key}: must be finite, got {value}")
     if config.scheme not in SCHEMES:
         raise ConfigError(f"scheme: must be one of {', '.join(SCHEMES)}, got {config.scheme!r}")
     if not 0.0 < config.p < 1.0:
@@ -141,7 +145,7 @@ def _validate(config: RunConfig) -> RunConfig:
     if not config.out:
         raise ConfigError("out: must be a non-empty path prefix")
     if config.scheme == "mtem":
-        policy = _build_policy(_build_model(config))
+        policy = default_policy(_build_model(config))
         if config.delta > policy.delta_star:
             raise ConfigError(
                 f"delta: {config.delta} exceeds the truncation policy's validity bound "
@@ -169,10 +173,6 @@ def _build_model(config: RunConfig) -> SdeModel:
     if config.model == "linear":
         return get_model("linear", mu=config.mu, sigma=config.sigma)
     return get_model(config.model)
-
-
-def _build_policy(model: SdeModel) -> TruncationPolicy:
-    return default_policy(model)
 
 
 # --- deterministic output helpers -------------------------------------------
@@ -219,11 +219,10 @@ def _write_manifest(config: RunConfig, subcommand: str) -> None:
 
 def _cmd_simulate(config: RunConfig, workers: int) -> int:
     model = _build_model(config)
-    policy = _build_policy(model)
-    radius = scheme_radius(model, policy, config.scheme, config.delta)
+    radius = scheme_radius(model, default_policy(model), config.scheme, config.delta)
     result = run_paths(
         model, radius, config.x0, config.delta, config.steps, config.paths,
-        config.seed, config.refinement, record_states=True, workers=workers,
+        config.seed, config.refinement, record_paths=config.paths, workers=workers,
     )
     d = model.dimension
     header = ["path_index", "k", "t"] + [f"x{i}" for i in range(d)] + ["diverged"]
@@ -243,9 +242,8 @@ def _cmd_simulate(config: RunConfig, workers: int) -> int:
 
 def _cmd_exponent(config: RunConfig, workers: int) -> int:
     model = _build_model(config)
-    policy = _build_policy(model)
     run = run_stability_mc(
-        model, policy, config.scheme, config.p, config.x0, config.delta,
+        model, default_policy(model), config.scheme, config.p, config.x0, config.delta,
         config.steps, config.paths, config.seed,
         refinement=config.refinement, workers=workers,
     )
@@ -280,7 +278,7 @@ def _cmd_exponent(config: RunConfig, workers: int) -> int:
 
 def _cmd_verify(config: RunConfig, workers: int) -> int:
     model = _build_model(config)
-    policy = _build_policy(model)
+    policy = default_policy(model)
     h = policy.radius(config.delta)
 
     ladder = [config.delta, config.delta / 10.0, config.delta / 100.0]
@@ -316,39 +314,34 @@ def _cmd_verify(config: RunConfig, workers: int) -> int:
 
 def _cmd_compare(config: RunConfig, workers: int) -> int:
     model = _build_model(config)
-    policy = _build_policy(model)
-    radius = policy.radius(config.delta)
-    common = dict(workers=workers)
-    full_mtem = run_paths(model, radius, config.x0, config.delta, config.steps,
-                          config.paths, config.seed, config.refinement, **common)
-    full_em = run_paths(model, math.inf, config.x0, config.delta, config.steps,
-                        config.paths, config.seed, config.refinement, **common)
-
+    radius = default_policy(model).radius(config.delta)
+    # one run per scheme: the tallies cover every path, the CSV the first few
     n_show = min(config.paths, COMPARE_TRAJECTORY_PATHS)
-    rec_mtem = run_paths(model, radius, config.x0, config.delta, config.steps,
-                         n_show, config.seed, config.refinement, record_states=True)
-    rec_em = run_paths(model, math.inf, config.x0, config.delta, config.steps,
-                       n_show, config.seed, config.refinement, record_states=True)
+    common = dict(record_paths=n_show, workers=workers)
+    mtem = run_paths(model, radius, config.x0, config.delta, config.steps,
+                     config.paths, config.seed, config.refinement, **common)
+    em = run_paths(model, math.inf, config.x0, config.delta, config.steps,
+                   config.paths, config.seed, config.refinement, **common)
 
     d = model.dimension
     header = ["path_index", "k", "t"] + [f"mtem_x{i}" for i in range(d)] + [f"em_x{i}" for i in range(d)]
 
     def rows():
         for idx in range(n_show):
-            last_m = config.steps if rec_mtem.first_divergence[idx] < 0 else int(rec_mtem.first_divergence[idx])
-            last_e = config.steps if rec_em.first_divergence[idx] < 0 else int(rec_em.first_divergence[idx])
+            last_m = config.steps if mtem.first_divergence[idx] < 0 else int(mtem.first_divergence[idx])
+            last_e = config.steps if em.first_divergence[idx] < 0 else int(em.first_divergence[idx])
             for k in range(config.steps + 1):
-                mt = [_f(v) for v in rec_mtem.states[idx, k]] if k <= last_m else [""] * d
-                em = [_f(v) for v in rec_em.states[idx, k]] if k <= last_e else [""] * d
-                yield [str(idx), str(k), _f(k * config.delta)] + mt + em
+                mt = [_f(v) for v in mtem.states[idx, k]] if k <= last_m else [""] * d
+                et = [_f(v) for v in em.states[idx, k]] if k <= last_e else [""] * d
+                yield [str(idx), str(k), _f(k * config.delta)] + mt + et
 
     _write_csv(f"{config.out}_compare.csv", header, rows())
     _write_csv(
         f"{config.out}_tallies.csv",
         ["scheme", "paths", "diverged", "divergence_fraction"],
         [
-            ["mtem", str(config.paths), str(full_mtem.diverged_paths), _f(full_mtem.diverged_paths / config.paths)],
-            ["em", str(config.paths), str(full_em.diverged_paths), _f(full_em.diverged_paths / config.paths)],
+            ["mtem", str(config.paths), str(mtem.diverged_paths), _f(mtem.diverged_paths / config.paths)],
+            ["em", str(config.paths), str(em.diverged_paths), _f(em.diverged_paths / config.paths)],
         ],
     )
     return 0

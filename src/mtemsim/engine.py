@@ -18,7 +18,7 @@ from .errors import InputError
 from .models import SdeModel, as_state, state_norms
 from .schemes import OVERFLOW_GUARD, advance_states, fine_increments
 
-__all__ = ["CHUNK_PATHS", "RunResult", "run_paths"]
+__all__ = ["CHUNK_PATHS", "RunResult", "run_paths", "step_paths"]
 
 # Fixed chunk width: the unit of work handed to a worker.  Must not depend on
 # the worker count or reductions would change with it.
@@ -26,64 +26,53 @@ CHUNK_PATHS = 512
 
 
 @dataclass
-class _ChunkResult:
-    start: int
-    count: int
-    first_divergence: np.ndarray  # (count,), -1 where the path never diverged
-    terminal_norm: np.ndarray | None  # (count,), nan for diverged lanes
-    moment_sum: np.ndarray | None  # (steps + 1,)
-    moment_sqsum: np.ndarray | None
-    alive: np.ndarray | None  # (steps + 1,) int
-    states: np.ndarray | None  # (count, steps + 1, d)
-
-
-@dataclass
 class RunResult:
-    """Merged output of a multi-path run."""
+    """Output of a multi-path run, or of one chunk of it."""
 
     paths: int
     steps: int
     delta: float
-    first_divergence: np.ndarray
-    terminal_norm: np.ndarray | None
-    moment_sum: np.ndarray | None
+    first_divergence: np.ndarray  # (paths,), -1 where the path never diverged
+    terminal_norm: np.ndarray | None  # (paths,), nan for diverged paths
+    moment_sum: np.ndarray | None  # (steps + 1,)
     moment_sqsum: np.ndarray | None
-    alive: np.ndarray | None
-    states: np.ndarray | None
+    alive: np.ndarray | None  # (steps + 1,) int
+    states: np.ndarray | None  # (recorded paths, steps + 1, d)
 
     @property
     def diverged_paths(self) -> int:
         return int(np.count_nonzero(self.first_divergence >= 0))
 
 
-def _simulate_chunk(
+def step_paths(
     model: SdeModel,
     radius: float,
     x0: np.ndarray,
     delta: float,
-    steps: int,
-    refinement: int,
-    master_seed: int,
-    start: int,
-    count: int,
-    moment_p: float | None,
-    want_terminal: bool,
-    record_states: bool,
-    overflow_guard: float,
-) -> _ChunkResult:
-    d = model.dimension
-    coarse = np.empty((count, steps))
-    for i in range(count):
-        coarse[i] = fine_increments(master_seed, start + i, delta, steps, refinement).sum(axis=1)
+    coarse: np.ndarray,
+    *,
+    moment_p: float | None = None,
+    want_terminal: bool = False,
+    record_paths: int = 0,
+    overflow_guard: float = OVERFLOW_GUARD,
+) -> RunResult:
+    """Step one lane per row of the (count, steps) coarse increments from ``x0``.
 
+    A lane is frozen at zero from the step its norm turns non-finite or
+    exceeds ``overflow_guard``; the states of the first ``record_paths``
+    lanes are kept up to and including that step.  Stepping ends once every
+    lane is frozen.
+    """
+    count, steps = coarse.shape
     x = np.tile(x0, (count, 1))
     alive = np.ones(count, dtype=bool)
     first_div = np.full(count, -1, dtype=np.int64)
 
+    recorded = min(record_paths, count)
     states = None
-    if record_states:
-        states = np.zeros((count, steps + 1, d))
-        states[:, 0] = x
+    if recorded > 0:
+        states = np.zeros((recorded, steps + 1, model.dimension))
+        states[:, 0] = x[:recorded]
 
     mom_sum = mom_sq = alive_count = None
     if moment_p is not None:
@@ -100,10 +89,12 @@ def _simulate_chunk(
             xn = advance_states(model, radius, x, delta, coarse[:, k])
             norms = state_norms(xn)
             bad = alive & (~np.isfinite(norms) | (norms > overflow_guard))
-            if record_states:
+            if states is not None:
                 # keep the flagged state visible, then freeze the lane
-                states[alive, k + 1] = xn[alive]
-            if bad.any():
+                keep = alive[:recorded]
+                states[keep, k + 1] = xn[:recorded][keep]
+            froze = bad.any()
+            if froze:
                 first_div[bad] = k + 1
                 alive &= ~bad
             xn[~alive] = 0.0
@@ -114,12 +105,16 @@ def _simulate_chunk(
                 mom_sum[k + 1] = npow.sum()
                 mom_sq[k + 1] = (npow * npow).sum()
                 alive_count[k + 1] = alive.sum()
+            if froze and not alive.any():
+                # every lane is frozen at zero: each remaining step repeats this one
+                if moment_p is not None:
+                    mom_sum[k + 2:] = mom_sum[k + 1]
+                    mom_sq[k + 2:] = mom_sq[k + 1]
+                    alive_count[k + 2:] = 0
+                break
 
-    terminal = None
-    if want_terminal:
-        terminal = np.where(alive, state_norms(x), np.nan)
-
-    return _ChunkResult(start, count, first_div, terminal, mom_sum, mom_sq, alive_count, states)
+    terminal = np.where(alive, state_norms(x), np.nan) if want_terminal else None
+    return RunResult(count, steps, delta, first_div, terminal, mom_sum, mom_sq, alive_count, states)
 
 
 def _kahan_accumulate(total: np.ndarray, compensation: np.ndarray, term: np.ndarray) -> None:
@@ -141,7 +136,7 @@ def run_paths(
     *,
     moment_p: float | None = None,
     want_terminal: bool = False,
-    record_states: bool = False,
+    record_paths: int = 0,
     overflow_guard: float = OVERFLOW_GUARD,
     workers: int = 1,
     chunk_paths: int = CHUNK_PATHS,
@@ -150,8 +145,9 @@ def run_paths(
 
     ``moment_p`` switches on accumulation of per-step sums of |X_k|^p and
     |X_k|^(2p) over the paths still alive at k; ``want_terminal`` collects
-    terminal state norms; ``record_states`` keeps full trajectories (memory
-    scales with paths * steps, meant for small runs).
+    terminal state norms; ``record_paths`` keeps the full trajectories of
+    that many leading paths (memory scales with record_paths * steps).
+    Chunks run on ``workers`` threads; the result does not depend on it.
     """
     if paths < 1:
         raise InputError(f"paths must be >= 1, got {paths}")
@@ -161,25 +157,27 @@ def run_paths(
         raise InputError(f"step size must be positive, got {delta}")
     x0_row = as_state(model, x0)
 
-    chunks = [(s, min(chunk_paths, paths - s)) for s in range(0, paths, chunk_paths)]
-
-    def job(chunk):
-        start, count = chunk
-        return _simulate_chunk(
-            model, radius, x0_row, delta, steps, refinement, master_seed,
-            start, count, moment_p, want_terminal, record_states, overflow_guard,
+    def run_chunk(start: int) -> RunResult:
+        count = min(chunk_paths, paths - start)
+        coarse = np.empty((count, steps))
+        for i in range(count):
+            coarse[i] = fine_increments(master_seed, start + i, delta, steps, refinement).sum(axis=1)
+        return step_paths(
+            model, radius, x0_row, delta, coarse, moment_p=moment_p, want_terminal=want_terminal,
+            record_paths=record_paths - start, overflow_guard=overflow_guard,
         )
 
-    if workers <= 1 or len(chunks) == 1:
-        results = [job(c) for c in chunks]
+    starts = range(0, paths, chunk_paths)
+    if workers <= 1 or len(starts) == 1:
+        chunks = [run_chunk(start) for start in starts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(job, c) for c in chunks]
-            results = [f.result() for f in futures]
+            chunks = list(pool.map(run_chunk, starts))
 
-    first_div = np.concatenate([r.first_divergence for r in results])
-    terminal = np.concatenate([r.terminal_norm for r in results]) if want_terminal else None
-    states = np.concatenate([r.states for r in results], axis=0) if record_states else None
+    first_div = np.concatenate([r.first_divergence for r in chunks])
+    terminal = np.concatenate([r.terminal_norm for r in chunks]) if want_terminal else None
+    recorded = [r.states for r in chunks if r.states is not None]
+    states = np.concatenate(recorded, axis=0) if recorded else None
 
     mom_sum = mom_sq = alive = None
     if moment_p is not None:
@@ -188,7 +186,7 @@ def run_paths(
         alive = np.zeros(steps + 1, dtype=np.int64)
         comp_sum = np.zeros(steps + 1)
         comp_sq = np.zeros(steps + 1)
-        for r in results:  # chunk order: identical for any worker count
+        for r in chunks:  # chunk order: identical for any worker count
             _kahan_accumulate(mom_sum, comp_sum, r.moment_sum)
             _kahan_accumulate(mom_sq, comp_sq, r.moment_sqsum)
             alive += r.alive

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .models import SdeModel, as_state, state_norms
+from .models import SdeModel, as_state
 from .truncation import resolve_radius, truncated_batch
 
 __all__ = [
@@ -161,8 +161,8 @@ def simulate_path(
 ) -> TrajectoryRecord:
     """Advance one path for ``steps`` coarse steps of size ``delta``.
 
-    Halts early with the divergence flag set as soon as the state magnitude
-    exceeds ``overflow_guard`` or any coordinate becomes non-finite.
+    The record stops, with the divergence flag set, at the first state whose
+    magnitude exceeds ``overflow_guard`` or that has a non-finite coordinate.
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
@@ -170,25 +170,17 @@ def simulate_path(
         raise InputError(f"path was generated with delta = {path.delta}, not {delta}")
     if path.steps < steps:
         raise InputError(f"path holds {path.steps} steps, {steps} requested")
+    from .engine import step_paths  # engine imports this module
+
     radius = scheme_radius(model, policy_or_radius, scheme, delta)
-    x = as_state(model, x0)
-    coarse = path.coarse()
-    states = np.empty((steps + 1, model.dimension))
-    states[0] = x
-    diverged = False
-    first = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            x = advance_states(model, radius, x[None, :], delta, coarse[k : k + 1])[0]
-            states[k + 1] = x
-            r = float(state_norms(x))
-            if not math.isfinite(r) or r > overflow_guard:
-                diverged = True
-                first = k + 1
-                break
+    run = step_paths(model, radius, as_state(model, x0), delta, path.coarse()[None, :steps],
+                     record_paths=1, overflow_guard=overflow_guard)
+    states = run.states[0]
+    first = int(run.first_divergence[0])
+    diverged = first >= 0
     if diverged:
         states = states[: first + 1]
-    return TrajectoryRecord(scheme, states[0].copy(), delta, states, diverged, first)
+    return TrajectoryRecord(scheme, states[0].copy(), delta, states, diverged, first if diverged else None)
 
 
 def interpolate_step_process(record: TrajectoryRecord, t: float) -> np.ndarray:

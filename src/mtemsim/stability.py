@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import CHUNK_PATHS, run_paths
 from .errors import EstimationError, InputError
-from .models import SdeModel, SamplingPlan, functional_values, sample_states, state_norms
+from .models import SdeModel, SamplingPlan, _check_moment_order, functional_values, sample_states, state_norms
 from .schemes import OVERFLOW_GUARD, scheme_radius
 from .truncation import truncated_batch
 
@@ -127,6 +127,15 @@ def _pathwise_summary(result, floor: float) -> PathwiseExponentSummary:
     )
 
 
+def _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, refinement, **kwargs):
+    """Validate a moment run and step it with per-step |X_k|^p sums switched on."""
+    if paths < 2:
+        raise InputError(f"at least 2 paths are required, got {paths}")
+    _check_moment_order(p)
+    radius = scheme_radius(model, policy_or_radius, scheme, delta)
+    return run_paths(model, radius, x0, delta, steps, paths, seed, refinement, moment_p=p, **kwargs)
+
+
 def run_stability_mc(
     model: SdeModel,
     policy_or_radius,
@@ -145,15 +154,9 @@ def run_stability_mc(
     chunk_paths: int = CHUNK_PATHS,
 ) -> StabilityRun:
     """One Monte Carlo pass yielding both the moment curve and the pathwise summary."""
-    if paths < 2:
-        raise InputError(f"at least 2 paths are required, got {paths}")
-    if not 0.0 < p < 1.0:
-        raise InputError(f"moment order p must lie in (0, 1), got {p}")
-    radius = scheme_radius(model, policy_or_radius, scheme, delta)
-    result = run_paths(
-        model, radius, x0, delta, steps, paths, seed, refinement,
-        moment_p=p, want_terminal=True, overflow_guard=overflow_guard,
-        workers=workers, chunk_paths=chunk_paths,
+    result = _moment_run(
+        model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, refinement,
+        want_terminal=True, overflow_guard=overflow_guard, workers=workers, chunk_paths=chunk_paths,
     )
     return StabilityRun(_moment_estimate(result, p), _pathwise_summary(result, floor))
 
@@ -171,13 +174,8 @@ def estimate_moment_curve(
     **kwargs,
 ) -> MomentEstimate:
     """Sample mean of |X_k|^p at every step, over ``paths`` independent paths."""
-    if paths < 2:
-        raise InputError(f"at least 2 paths are required, got {paths}")
-    if not 0.0 < p < 1.0:
-        raise InputError(f"moment order p must lie in (0, 1), got {p}")
-    radius = scheme_radius(model, policy_or_radius, scheme, delta)
-    result = run_paths(model, radius, x0, delta, steps, paths, seed,
-                       kwargs.pop("refinement", 1), moment_p=p, **kwargs)
+    result = _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed,
+                         kwargs.pop("refinement", 1), **kwargs)
     return _moment_estimate(result, p)
 
 
@@ -366,8 +364,7 @@ def verify_lemma_lambda_preserved(
     h = float(radius)
     if not h > 0.0:
         raise InputError(f"radius must be positive, got {radius}")
-    if not 0.0 < p < 1.0:
-        raise InputError(f"moment order p must lie in (0, 1), got {p}")
+    _check_moment_order(p)
     if plan is None:
         plan = SamplingPlan(r_min=h / 100.0, r_max=100.0 * h)
     points = sample_states(plan, model.dimension)

@@ -85,14 +85,20 @@ def derive_h_from_lipschitz(
     solving l(R) = delta satisfies the step condition L_{h}^4 * delta = 1 / h.
     With the default bracket the search interval is expanded geometrically up
     to four times before giving up; an explicit bracket that does not
-    straddle the target raises ``BracketError`` immediately.  ``tol`` bounds
+    straddle the target raises ``BracketError`` immediately, as does an l(R)
+    that floats cannot hold (L_R = 0, or L_R^4 overflowing).  ``tol`` bounds
     the final bisection width and defaults to 1e-12 times the upper bracket.
     """
     if not delta > 0.0:
         raise InputError(f"step size must be positive, got {delta}")
 
     def decay(radius: float) -> float:
-        return 1.0 / (radius * lipschitz_bound(radius) ** 4)
+        level = lipschitz_bound(radius)
+        try:
+            return 1.0 / (radius * level**4)
+        except (ZeroDivisionError, OverflowError):
+            raise BracketError(f"l(R) = 1 / (R * L_R^4) has no float value at R = {radius}, "
+                               f"where L_R = {level!r}") from None
 
     explicit = bracket is not None
     lo, hi = bracket if explicit else DEFAULT_BRACKET

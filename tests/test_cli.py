@@ -168,6 +168,23 @@ def test_main_exit_codes(tmp_path):
                  "--x0", "1000.0", "--window", "0.5:1.0", "--out", str(out)]) == 4
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--mu", "0", "--sigma", "0"], "L_R = 0.0"),  # l(R) = 1 / 0
+    (["--mu", "1e200", "--sigma", "0.5"], "L_R = 1e+200"),  # L_R^4 overflows
+    (["--mu", "-1", "--sigma", "1e300"], "L_R = 1e+300"),
+    (["--mu", "nan", "--sigma", "0.5"], "mu: must be finite"),
+    (["--mu=-inf", "--sigma", "0.5"], "mu: must be finite"),
+    (["--mu", "-1", "--sigma", "inf"], "sigma: must be finite"),
+])
+def test_hostile_linear_parameters_exit_2_without_traceback(tmp_path, capsys, flags, message):
+    argv = ["exponent", "--model", "linear", *flags, "--steps", "20", "--paths", "4",
+            "--refinement", "1", "--out", str(tmp_path / "h")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_main_reads_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model=example41\ndelta=5e-4\nsteps=20\npaths=2\nseed=4\nrefinement=1\n")

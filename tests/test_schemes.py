@@ -179,7 +179,7 @@ def test_single_path_matches_batched_engine(ex41, ex41_policy):
     # grouping paths into batches must not change a single bit
     delta, steps = 5e-4, 300
     h = ex41_policy.radius(delta)
-    batch = run_paths(ex41, h, 2.0, delta, steps, 7, 2024, 1, record_states=True)
+    batch = run_paths(ex41, h, 2.0, delta, steps, 7, 2024, 1, record_paths=7)
     for idx in range(7):
         path = m.BrownianPath.generate(2024, idx, delta, steps, refinement=1)
         rec = m.simulate_path(ex41, ex41_policy, "mtem", 2.0, delta, steps, path)
