@@ -391,7 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--x0", type=float, help="initial state")
         sp.add_argument("--window", help="fit window as fractions LO:HI of the horizon")
         sp.add_argument("--out", help="output path prefix")
-        sp.add_argument("--workers", type=int, default=1, help="parallel path workers")
+        sp.add_argument("--workers", type=int, default=1,
+                        help="threads that draw increments; chunks step one at a time")
     return parser
 
 

@@ -5,10 +5,18 @@ deployed, each chunk is reduced with a fixed operation order, and chunk
 partials are combined sequentially in chunk order with compensated
 summation.  Together with the per-path seed derivation in :mod:`.schemes`
 this makes every aggregate bit-identical for any worker count.
+
+Each worker thread takes a chunk, draws its Brownian increments and then
+steps it.  Drawing runs concurrently, since the Philox fill releases the
+GIL; stepping is serialized by a lock, one chunk at a time.  A step is a
+few dozen small numpy calls, each of which gives up the GIL and takes it
+back, so two stepping threads spend their time handing the GIL over
+instead of computing.  At most ``workers`` chunks are in flight.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -74,37 +82,47 @@ def step_paths(
         states = np.zeros((recorded, steps + 1, model.dimension))
         states[:, 0] = x[:recorded]
 
+    norms = state_norms(x)
     mom_sum = mom_sq = alive_count = None
     if moment_p is not None:
         mom_sum = np.empty(steps + 1)
         mom_sq = np.empty(steps + 1)
         alive_count = np.empty(steps + 1, dtype=np.int64)
-        npow = state_norms(x) ** moment_p
+        npow = norms**moment_p
         mom_sum[0] = npow.sum()
         mom_sq[0] = (npow * npow).sum()
         alive_count[0] = count
 
+    every_alive = True  # until a lane freezes, no mask below needs applying
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            xn = advance_states(model, radius, x, delta, coarse[:, k])
+            xn = advance_states(model, radius, x, delta, coarse[:, k], norms)
             norms = state_norms(xn)
-            bad = alive & (~np.isfinite(norms) | (norms > overflow_guard))
             if states is not None:
                 # keep the flagged state visible, then freeze the lane
-                keep = alive[:recorded]
-                states[keep, k + 1] = xn[:recorded][keep]
-            froze = bad.any()
-            if froze:
-                first_div[bad] = k + 1
-                alive &= ~bad
-            xn[~alive] = 0.0
+                if every_alive:
+                    states[:, k + 1] = xn[:recorded]
+                else:
+                    keep = alive[:recorded]
+                    states[keep, k + 1] = xn[:recorded][keep]
+            within = norms <= overflow_guard  # False for NaN and inf norms too
+            froze = False
+            if not within.all():
+                bad = alive & ~within
+                froze = bad.any()
+                if froze:
+                    first_div[bad] = k + 1
+                    alive &= ~bad
+                    every_alive = False
+            if not every_alive:
+                xn[~alive] = 0.0
+                norms = np.where(alive, norms, 0.0)  # the norms of the zeroed lanes
             x = xn
             if moment_p is not None:
-                live_norms = np.where(alive, norms, 0.0)
-                npow = live_norms**moment_p
+                npow = norms**moment_p
                 mom_sum[k + 1] = npow.sum()
                 mom_sq[k + 1] = (npow * npow).sum()
-                alive_count[k + 1] = alive.sum()
+                alive_count[k + 1] = count if every_alive else alive.sum()
             if froze and not alive.any():
                 # every lane is frozen at zero: each remaining step repeats this one
                 if moment_p is not None:
@@ -113,7 +131,7 @@ def step_paths(
                     alive_count[k + 2:] = 0
                 break
 
-    terminal = np.where(alive, state_norms(x), np.nan) if want_terminal else None
+    terminal = np.where(alive, norms, np.nan) if want_terminal else None
     return RunResult(count, steps, delta, first_div, terminal, mom_sum, mom_sq, alive_count, states)
 
 
@@ -147,7 +165,8 @@ def run_paths(
     |X_k|^(2p) over the paths still alive at k; ``want_terminal`` collects
     terminal state norms; ``record_paths`` keeps the full trajectories of
     that many leading paths (memory scales with record_paths * steps).
-    Chunks run on ``workers`` threads; the result does not depend on it.
+    Chunks run on ``workers`` threads, which draw increments concurrently
+    and step one chunk at a time; the result does not depend on ``workers``.
     """
     if paths < 1:
         raise InputError(f"paths must be >= 1, got {paths}")
@@ -157,15 +176,18 @@ def run_paths(
         raise InputError(f"step size must be positive, got {delta}")
     x0_row = as_state(model, x0)
 
+    stepping = threading.Lock()
+
     def run_chunk(start: int) -> RunResult:
         count = min(chunk_paths, paths - start)
         coarse = np.empty((count, steps))
         for i in range(count):
             coarse[i] = fine_increments(master_seed, start + i, delta, steps, refinement).sum(axis=1)
-        return step_paths(
-            model, radius, x0_row, delta, coarse, moment_p=moment_p, want_terminal=want_terminal,
-            record_paths=record_paths - start, overflow_guard=overflow_guard,
-        )
+        with stepping:  # the other workers keep drawing meanwhile
+            return step_paths(
+                model, radius, x0_row, delta, coarse, moment_p=moment_p, want_terminal=want_terminal,
+                record_paths=record_paths - start, overflow_guard=overflow_guard,
+            )
 
     starts = range(0, paths, chunk_paths)
     if workers <= 1 or len(starts) == 1:

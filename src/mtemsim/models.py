@@ -55,8 +55,9 @@ class SdeModel:
     trivial solution x == 0; use :func:`check_trivial_solution` to test this.
 
     Instances are immutable and shared freely across threads; the callables
-    must be pure (path simulation invokes them concurrently from worker
-    threads).
+    must be pure.  Path simulation may call them from any of its worker
+    threads, but never from two at once: only one chunk of paths steps at a
+    time.
     """
 
     name: str

@@ -128,15 +128,20 @@ def scheme_radius(model: SdeModel, policy_or_radius, scheme: str, delta: float) 
     raise InputError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
-def advance_states(model: SdeModel, radius: float, states: np.ndarray, delta: float, db: np.ndarray) -> np.ndarray:
+def advance_states(
+    model: SdeModel, radius: float, states: np.ndarray, delta: float, db: np.ndarray,
+    norms: np.ndarray | None = None,
+) -> np.ndarray:
     """One explicit step x + f_h(x) delta + g_h(x) dB over a batch of states.
 
     ``states`` has shape (n, d) and ``db`` shape (n,); all lanes share the
-    step size.  This is the single stepping kernel used everywhere, so a path
-    advances bit-identically whether it is simulated alone or in a batch.
+    step size.  ``norms``, the row norms of ``states`` if the caller has them,
+    spares both truncated evaluations from recomputing them.  This is the
+    single stepping kernel used everywhere, so a path advances bit-identically
+    whether it is simulated alone or in a batch.
     """
-    f_vals = truncated_batch(model.drift, states, radius)
-    g_vals = truncated_batch(model.diffusion, states, radius)
+    f_vals = truncated_batch(model.drift, states, radius, norms)
+    g_vals = truncated_batch(model.diffusion, states, radius, norms)
     return states + f_vals * delta + g_vals * db[..., None]
 
 

@@ -213,7 +213,7 @@ def fit_exponent(estimate: MomentEstimate, window: tuple[float, float], floor: f
     t_lo, t_hi = float(window[0]), float(window[1])
     times = estimate.times
     horizon = times[-1]
-    snap = 1e-9 * max(horizon, 1.0)
+    snap = 1e-9 * horizon
     if not (t_lo < t_hi):
         raise InputError(f"fit window must satisfy t_lo < t_hi, got [{t_lo}, {t_hi}]")
     if t_lo < -snap or t_hi > horizon + snap:
@@ -232,7 +232,13 @@ def fit_exponent(estimate: MomentEstimate, window: tuple[float, float], floor: f
     m_sel = estimate.means[usable]
     censored = int(np.count_nonzero(m_sel <= floor))
     y = np.log(np.maximum(m_sel, floor))
-    slope, intercept = np.polyfit(t_sel, y, 1)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope, intercept = np.polyfit(t_sel, y, 1)
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError(f"least-squares fit over [{t_lo}, {t_hi}] failed: {exc}") from None
+    if not (np.isfinite(slope) and np.isfinite(intercept)):
+        raise EstimationError(f"least-squares fit over [{t_lo}, {t_hi}] is not finite")
     fitted = slope * t_sel + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))

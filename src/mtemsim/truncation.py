@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BracketError, InputError
-from .models import SdeModel, as_state
+from .models import SdeModel, as_state, state_norms
 
 __all__ = [
     "TruncationPolicy",
@@ -182,26 +182,24 @@ def resolve_radius(policy_or_radius, delta: float | None = None) -> float:
     return h
 
 
-def truncated_batch(coefficient, xs: np.ndarray, radius: float) -> np.ndarray:
+def truncated_batch(coefficient, xs: np.ndarray, radius: float, norms: np.ndarray | None = None) -> np.ndarray:
     """Evaluate a coefficient with radial truncation over a batch of states.
 
-    ``xs`` has shape (n, d).  States inside the closed ball are evaluated
-    directly, so there the result is bit-identical to the raw coefficient.
+    ``xs`` has shape (n, d); ``norms`` may carry its row norms when the
+    caller already has them.  The coefficient is called once, on the states
+    projected onto the closed ball, and the result is scaled back by |x| / h.
+    Inside the ball both scale factors are h / h = 1 exactly, so there the
+    result is bit-identical to the raw coefficient; ``fmax`` keeps lanes at
+    zero or with a NaN norm on that branch, as the comparison |x| > h would.
     """
     xs = np.asarray(xs, dtype=float)
-    values = np.asarray(coefficient(xs), dtype=float)
     if np.isinf(radius):
-        return values
-    norms = np.sqrt(np.einsum("...i,...i->...", xs, xs))
-    outside = norms > radius
-    if np.any(outside):
-        if np.may_share_memory(values, xs) or not values.flags.writeable:
-            values = values.copy()
-        sub = xs[outside]
-        sub_norms = norms[outside][:, None]
-        projected = (radius / sub_norms) * sub
-        values[outside] = (sub_norms / radius) * np.asarray(coefficient(projected), dtype=float)
-    return values
+        return np.asarray(coefficient(xs), dtype=float)
+    if norms is None:
+        norms = state_norms(xs)
+    reach = np.fmax(norms, radius)[..., None]  # |x| outside the ball, h inside it
+    values = np.asarray(coefficient((radius / reach) * xs), dtype=float)
+    return (reach / radius) * values
 
 
 def eval_f_delta(model: SdeModel, policy_or_radius, x, delta: float | None = None) -> np.ndarray:

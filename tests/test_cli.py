@@ -185,6 +185,14 @@ def test_hostile_linear_parameters_exit_2_without_traceback(tmp_path, capsys, fl
     assert "Traceback" not in err
 
 
+def test_exponent_on_a_tiny_horizon_exits_without_traceback(tmp_path, capsys):
+    # the horizon is 1e-299: every grid point lies within an absolute 1e-9 of the window
+    argv = ["exponent", "--model", "example41", "--delta", "1e-300", "--steps", "10",
+            "--paths", "4", "--out", str(tmp_path / "tiny")]
+    assert main(argv) in (2, 4)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_main_reads_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model=example41\ndelta=5e-4\nsteps=20\npaths=2\nseed=4\nrefinement=1\n")

@@ -1,18 +1,24 @@
-"""Engine runs in which every path of a chunk diverges.
+"""Engine runs in which every path of a chunk diverges, and chunk threading.
 
 Once every lane of a chunk is frozen, the engine stops stepping it and fills
 the remaining moment sums from the last step.  The digest below pins the
 arrays of such runs to those of an engine that stepped frozen lanes to the
 horizon; it is checked only on the numpy version it was captured on.
+
+Worker threads draw the increments of their chunks concurrently, but only one
+chunk steps at a time.
 """
 
 import hashlib
+import threading
+import time
 
 import numpy as np
 import pytest
 
 import mtemsim as m
 from mtemsim.engine import run_paths
+from mtemsim.models import SdeModel
 
 CAPTURED_ON_NUMPY = "2.4.6"
 
@@ -51,3 +57,34 @@ def test_fully_diverged_run_ends_with_zero_moments():
     assert np.all(r.alive[last:] == 0)
     assert np.all(r.moment_sum[last:] == 0.0) and np.all(r.moment_sqsum[last:] == 0.0)
     assert np.all(np.isnan(r.terminal_norm))
+
+
+class _InFlight:
+    """A drift that records how many of its calls were ever in progress at once."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+
+    def __call__(self, x):
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(1e-5)  # let another thread run if one could
+            return -x - x**3
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+def test_chunks_step_one_at_a_time_with_the_same_bytes():
+    probe = _InFlight()
+    model = SdeModel("probe", 1, probe, lambda x: 0.5 * x, lambda r: 1.0 + 3.0 * r * r)
+    runs = [run_paths(model, 1.5, 2.0, 1e-2, 40, 48, 5, 2, moment_p=0.5, want_terminal=True,
+                      record_paths=48, chunk_paths=8, workers=workers) for workers in (1, 4)]
+    assert probe.peak == 1
+    single, pooled = runs
+    for name in ("first_divergence", "terminal_norm", "moment_sum", "moment_sqsum", "alive", "states"):
+        assert getattr(pooled, name).tobytes() == getattr(single, name).tobytes()

@@ -102,6 +102,21 @@ def test_fit_exponent_raises_when_paths_gone():
         m.fit_exponent(est, (0.0, 1.0))
 
 
+def test_fit_exponent_on_a_tiny_horizon():
+    # the snap is relative to the horizon, so a window of 7 of 11 points stays short
+    times = np.arange(11) * 1e-300
+    est = MomentEstimate(times, np.exp(-times), np.zeros_like(times),
+                         np.full(times.size, 5), 5, 0.5, 0)
+    with pytest.raises(InputError):
+        m.fit_exponent(est, (4e-300, 1e-299))
+    # a least-squares fit that cannot be formed is an estimation failure
+    times = np.arange(101) * 1e-300
+    est = MomentEstimate(times, np.exp(-times), np.zeros_like(times),
+                         np.full(times.size, 5), 5, 0.5, 0)
+    with pytest.raises(EstimationError):
+        m.fit_exponent(est, (4e-299, 1e-298))
+
+
 def test_fit_exponent_counts_floor_censoring():
     times = np.linspace(0.0, 1.0, 21)
     means = np.exp(-times)

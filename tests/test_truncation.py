@@ -5,6 +5,7 @@ import pytest
 
 import mtemsim as m
 from mtemsim.errors import BracketError, InputError
+from mtemsim.models import state_norms
 from mtemsim.truncation import resolve_radius, truncated_batch
 
 
@@ -149,6 +150,69 @@ def test_truncation_radial_equivariance_outside(ex41):
         lhs = m.eval_f_delta(ex41, h, x)
         rhs = (r / h) * m.eval_f_delta(ex41, h, h * x / r)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+def masked_truncated_batch(coefficient, xs, radius):
+    """The masked gather-and-scatter truncation, kept as a bitwise oracle."""
+    xs = np.asarray(xs, dtype=float)
+    values = np.asarray(coefficient(xs), dtype=float)
+    if np.isinf(radius):
+        return values
+    norms = np.sqrt(np.einsum("...i,...i->...", xs, xs))
+    outside = norms > radius
+    if np.any(outside):
+        if np.may_share_memory(values, xs) or not values.flags.writeable:
+            values = values.copy()
+        sub = xs[outside]
+        sub_norms = norms[outside][:, None]
+        projected = (radius / sub_norms) * sub
+        values[outside] = (sub_norms / radius) * np.asarray(coefficient(projected), dtype=float)
+    return values
+
+
+def _rotating_cubic(x):
+    """A 3-d coefficient that mixes coordinates and grows superlinearly."""
+    return x[..., ::-1] * np.einsum("...i,...i->...", x, x)[..., None] - 2.0 * x
+
+
+STATES = {
+    1: [[0.0], [-0.0], [0.3], [-1.9], [2.0], [-2.0], [2.0000000000000004], [7.5], [-1e6]],
+    # rows at zero, inside, exactly on |x| = 2 (from 3-4-5 and 1-2-2 triples), outside
+    3: [[0.0, 0.0, 0.0], [0.1, -0.2, 0.3], [1.2, 1.6, 0.0], [0.0, -1.2, 1.6],
+        [2 / 3, 4 / 3, -4 / 3], [3.0, -4.0, 12.0], [-1e5, 2.0, 0.5], [1e-300, 0.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("d,coefficient", [
+    (1, m.example41().drift), (1, m.example41().diffusion), (1, lambda x: x),
+    (3, _rotating_cubic), (3, lambda x: x), (3, np.sin),
+])
+@pytest.mark.parametrize("radius", [2.0, 1e-3, math.inf])
+def test_mask_free_truncation_bitwise_equals_masked(d, coefficient, radius):
+    xs = np.array(STATES[d])
+    rng = np.random.default_rng(d)
+    xs = np.concatenate([xs, rng.normal(scale=3.0, size=(509, d))])
+    if d == 1:
+        assert np.count_nonzero(np.abs(xs[:, 0]) == 2.0) == 2  # on the sphere
+    else:
+        assert np.count_nonzero(state_norms(xs) == 2.0) >= 2
+    expected = masked_truncated_batch(coefficient, xs.copy(), radius)
+    for norms in (None, state_norms(xs)):
+        before = xs.copy()
+        got = truncated_batch(coefficient, xs, radius, norms)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert xs.tobytes() == before.tobytes()  # the input is never written
+
+
+@pytest.mark.parametrize("coefficient", [_rotating_cubic, np.sin])
+def test_mask_free_truncation_keeps_non_finite_lanes_bitwise(coefficient):
+    # a NaN norm fails |x| > h, so such lanes took the raw coefficient before too
+    xs = np.array([[np.nan, 1.0, 0.0], [np.inf, 0.0, 1.0], [1e200, 1e200, 0.0], [0.5, 0.0, 0.0]])
+    with np.errstate(all="ignore"):
+        expected = masked_truncated_batch(coefficient, xs, 2.0)
+        got = truncated_batch(coefficient, xs, 2.0)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_global_lipschitz_property_pairs(ex41):
