@@ -392,7 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--window", help="fit window as fractions LO:HI of the horizon")
         sp.add_argument("--out", help="output path prefix")
         sp.add_argument("--workers", type=int, default=1,
-                        help="threads that draw increments; chunks step one at a time")
+                        help="threads that draw each block's increments; one steps all paths")
     return parser
 
 

@@ -55,9 +55,9 @@ class SdeModel:
     trivial solution x == 0; use :func:`check_trivial_solution` to test this.
 
     Instances are immutable and shared freely across threads; the callables
-    must be pure.  Path simulation may call them from any of its worker
-    threads, but never from two at once: only one chunk of paths steps at a
-    time.
+    must be pure and treat each row of a batch of states on its own.  Path
+    simulation calls them from one thread at a time, on a window of paths
+    at once; its other worker threads only draw Brownian increments.
     """
 
     name: str

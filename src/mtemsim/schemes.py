@@ -27,6 +27,7 @@ __all__ = [
     "BrownianPath",
     "TrajectoryRecord",
     "fine_increments",
+    "path_generator",
     "scheme_radius",
     "advance_states",
     "step_mtem",
@@ -46,6 +47,12 @@ SCHEMES = ("mtem", "em")
 _GRID_SNAP = 1e-9
 
 
+def path_generator(master_seed: int, path_index: int) -> np.random.Generator:
+    """The random stream of one path: Philox seeded from (master seed, path index)."""
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(path_index,))
+    return np.random.Generator(np.random.Philox(seq))
+
+
 def fine_increments(master_seed: int, path_index: int, delta: float, steps: int, refinement: int) -> np.ndarray:
     """Fine-grid Wiener increments for one path, shape (steps, refinement).
 
@@ -56,9 +63,7 @@ def fine_increments(master_seed: int, path_index: int, delta: float, steps: int,
         raise InputError(f"step size must be positive, got {delta}")
     if steps < 1 or refinement < 1:
         raise InputError("steps and refinement must be >= 1")
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(path_index,))
-    rng = np.random.Generator(np.random.Philox(seq))
-    z = rng.standard_normal(steps * refinement)
+    z = path_generator(master_seed, path_index).standard_normal(steps * refinement)
     return (math.sqrt(delta / refinement) * z).reshape(steps, refinement)
 
 
@@ -175,11 +180,12 @@ def simulate_path(
         raise InputError(f"path was generated with delta = {path.delta}, not {delta}")
     if path.steps < steps:
         raise InputError(f"path holds {path.steps} steps, {steps} requested")
-    from .engine import step_paths  # engine imports this module
+    from .engine import Lanes, RunResult, step_paths  # engine imports this module
 
     radius = scheme_radius(model, policy_or_radius, scheme, delta)
-    run = step_paths(model, radius, as_state(model, x0), delta, path.coarse()[None, :steps],
-                     record_paths=1, overflow_guard=overflow_guard)
+    run = RunResult.empty(1, steps, delta, model.dimension, record_paths=1)
+    step_paths(Lanes(model, radius, as_state(model, x0), delta, run, overflow_guard=overflow_guard),
+               path.coarse()[None, :steps])
     states = run.states[0]
     first = int(run.first_divergence[0])
     diverged = first >= 0

@@ -232,6 +232,12 @@ def fit_exponent(estimate: MomentEstimate, window: tuple[float, float], floor: f
     m_sel = estimate.means[usable]
     censored = int(np.count_nonzero(m_sel <= floor))
     y = np.log(np.maximum(m_sel, floor))
+    # polyfit divides its design columns by these norms; at times near 1e-298
+    # the squares underflow, and LAPACK would print an error before failing
+    scales = np.sqrt((np.vander(t_sel, 2) ** 2).sum(axis=0))
+    if not np.all(np.isfinite(scales) & (scales > 0.0)):
+        raise EstimationError(f"least-squares fit over [{t_lo}, {t_hi}] cannot be scaled: "
+                              "the squared times underflow or overflow")
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
             slope, intercept = np.polyfit(t_sel, y, 1)

@@ -193,6 +193,17 @@ def test_exponent_on_a_tiny_horizon_exits_without_traceback(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_exponent_fit_that_cannot_be_scaled_exits_4_without_lapack_output(tmp_path, capfd):
+    # at t ~ 1e-298 the squared time column underflows; LAPACK would print
+    # "** On entry to DLASCL ..." on file descriptor 1 before failing
+    argv = ["exponent", "--model", "example41", "--delta", "1e-300", "--steps", "100",
+            "--paths", "4", "--out", str(tmp_path / "tiny")]
+    assert main(argv) == 4
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out and "DLASCL" not in err
+    assert "Traceback" not in err and "estimation error" in err
+
+
 def test_main_reads_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model=example41\ndelta=5e-4\nsteps=20\npaths=2\nseed=4\nrefinement=1\n")

@@ -1,24 +1,29 @@
-"""Engine runs in which every path of a chunk diverges, and chunk threading.
+"""Engine runs in which every path diverges, the engine's threading and its layout.
 
-Once every lane of a chunk is frozen, the engine stops stepping it and fills
+Once every lane of a window is frozen, the engine stops stepping it and fills
 the remaining moment sums from the last step.  The digest below pins the
 arrays of such runs to those of an engine that stepped frozen lanes to the
 horizon; it is checked only on the numpy version it was captured on.
 
-Worker threads draw the increments of their chunks concurrently, but only one
-chunk steps at a time.
+Worker threads draw each block's increments together, and one of them steps
+every lane.  Neither the worker count, the block length nor the window
+changes an output byte, and memory does not grow with the number of steps.
 """
 
 import hashlib
+import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mtemsim as m
+from mtemsim import engine
 from mtemsim.engine import run_paths
 from mtemsim.models import SdeModel
+from mtemsim.truncation import default_policy
 
 CAPTURED_ON_NUMPY = "2.4.6"
 
@@ -88,3 +93,150 @@ def test_chunks_step_one_at_a_time_with_the_same_bytes():
     single, pooled = runs
     for name in ("first_divergence", "terminal_norm", "moment_sum", "moment_sqsum", "alive", "states"):
         assert getattr(pooled, name).tobytes() == getattr(single, name).tobytes()
+
+
+def _arrays(r):
+    return [getattr(r, name) for name in ("first_divergence", "terminal_norm", "moment_sum",
+                                          "moment_sqsum", "alive", "states")]
+
+
+@pytest.mark.skipif(np.__version__ != CAPTURED_ON_NUMPY,
+                    reason=f"digest was captured on numpy {CAPTURED_ON_NUMPY}")
+def test_fully_diverged_runs_keep_their_bytes_on_two_workers():
+    # the stepping thread stops early here, and must release the drawing thread
+    ex41 = m.example41()
+    digest = hashlib.sha256()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for x0, p, guard in CONFIGS:
+            for paths, chunk in LAYOUTS:
+                r = run_paths(ex41, np.inf, x0, 5e-3, 300, paths, 9, 1, moment_p=p,
+                              want_terminal=True, record_paths=paths, overflow_guard=guard,
+                              chunk_paths=chunk, workers=2)
+                for a in _arrays(r):
+                    digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == DIGEST
+
+
+class _Boom(RuntimeError):
+    pass
+
+
+class _FailsOnCall:
+    """A drift that raises on its ``n``-th call."""
+
+    def __init__(self, n):
+        self.n = n
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        if self.calls == self.n:
+            raise _Boom(f"drift call {self.n}")
+        return -x - x**3
+
+
+def _error_within(seconds, fn):
+    """The exception ``fn`` raised, asserting that it returned within ``seconds``."""
+    box = {}
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:  # noqa: BLE001 - handed to the test
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "run_paths did not return"
+    return box.get("error")
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("failing_call", [30, 700])  # in the first block, in the second
+def test_a_step_that_raises_reaches_the_caller_and_ends_every_thread(workers, failing_call):
+    baseline = threading.active_count()
+    model = SdeModel("boom", 1, _FailsOnCall(failing_call), lambda x: 0.5 * x, lambda r: 1.0 + 3.0 * r * r)
+    error = _error_within(20, lambda: run_paths(model, 1.5, 2.0, 1e-2, 2000, 48, 5, 1, moment_p=0.5,
+                                                chunk_paths=8, workers=workers))
+    assert isinstance(error, _Boom)
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_a_draw_that_raises_reaches_the_caller_and_ends_every_thread(workers, monkeypatch):
+    baseline = threading.active_count()
+    path_generator = engine.path_generator
+
+    def failing(master_seed, path_index):
+        if path_index == 21:
+            raise _Boom("no generator for path 21")
+        return path_generator(master_seed, path_index)
+
+    monkeypatch.setattr(engine, "path_generator", failing)
+    error = _error_within(20, lambda: run_paths(m.example41(), 1.5, 2.0, 1e-2, 2000, 48, 5, 1,
+                                                chunk_paths=8, workers=workers))
+    assert isinstance(error, _Boom)
+    assert threading.active_count() == baseline
+
+
+def test_many_threads_switching_often_keep_the_bytes(monkeypatch):
+    # more workers than cores, switching threads as often as the interpreter
+    # allows, six threads racing for segments at each of 1,000 block starts:
+    # a segment drawn twice or never would change the bytes, a lost wake-up
+    # would hang the run
+    monkeypatch.setattr(engine, "BLOCK_STEPS", 2)
+
+    def run(workers):
+        return run_paths(m.example41(), 1.5, 2.0, 1e-2, 400, 300, 17, 2, moment_p=0.5,
+                         want_terminal=True, record_paths=9, chunk_paths=8, workers=workers)
+
+    expected = run(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        box = {}
+        assert _error_within(60, lambda: box.setdefault("run", run(6))) is None
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(_arrays(box["run"]), _arrays(expected)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("paths", [1000, 600])
+@pytest.mark.parametrize("refinement", [1, 3])
+def test_block_window_and_draw_group_change_no_byte(paths, refinement, monkeypatch):
+    # em from x0 = 3 loses some paths, from x0 = 1000 every path of every window
+    ex41 = m.example41()
+    runs = [(1.5, 2.0), (np.inf, 3.0), (np.inf, 1000.0)]
+
+    def run(radius, x0, workers):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run_paths(ex41, radius, x0, 5e-3, 60, paths, 13, refinement, moment_p=0.5,
+                             want_terminal=True, record_paths=paths // 2 + 3, chunk_paths=128,
+                             workers=workers)
+
+    expected = [run(radius, x0, 1) for radius, x0 in runs]
+    assert expected[1].diverged_paths not in (0, paths) and expected[2].diverged_paths == paths
+    monkeypatch.setattr(engine, "BLOCK_STEPS", 7)  # 60 steps: 8 blocks and a ragged one
+    monkeypatch.setattr(engine, "WINDOW_SEGMENTS", 2)  # several windows, the last one ragged
+    monkeypatch.setattr(engine, "GROUP_NORMALS", 50)  # draws summed 7 or 2 paths at a time
+    for workers in (1, 2, 3):
+        for (radius, x0), reference in zip(runs, expected):
+            for got, want in zip(_arrays(run(radius, x0, workers)), _arrays(reference)):
+                assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_memory_is_bounded_by_window_and_block_not_by_steps(workers):
+    ex41 = m.example41()
+    radius = default_policy(ex41).radius(5e-4)
+    tracemalloc.start()
+    try:
+        run_paths(ex41, radius, 2.0, 5e-4, 10_000, 1024, 1, 1, moment_p=0.5, want_terminal=True,
+                  workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (paths, steps) increments alone would take 78 MiB
+    assert peak < 16 * 2**20
