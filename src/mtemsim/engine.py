@@ -2,14 +2,14 @@
 
 The paths of a run are stepped as the lanes of one array, a window of up to
 ``WINDOW_SEGMENTS`` segments of ``chunk_paths`` paths at a time, and time
-advances in blocks of ``BLOCK_STEPS`` steps.  For each block the worker
-threads first draw the Brownian increments of the whole window together,
-each claiming whole segments from a shared counter; then one thread steps
-every lane through the block while the others wait.  Drawing and stepping
-never overlap: a step is a few dozen numpy calls, each of which gives up the
-GIL and takes it back, and a drawing thread that takes it in between slows
-the stepping thread more than its draws save.  Memory is bounded by the
-window times the block, not by the number of steps.
+advances in blocks of ``BLOCK_STEPS`` steps.  For each block every worker
+thread draws the Brownian increments of the segments it owns, then waits at
+one barrier; the last thread to arrive steps every lane through the block
+as the barrier's action, before any thread is released.  So drawing and
+stepping never overlap: a step is a few dozen numpy calls, each of which
+gives up the GIL and takes it back, and a drawing thread that takes it in
+between slows the stepping thread more than its draws save.  Memory is
+bounded by the window times the block, not by the number of steps.
 
 Moment sums are reduced per segment at every step with a fixed operation
 order, and merged segment by segment in path order with compensated
@@ -20,6 +20,7 @@ window.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -34,7 +35,7 @@ from .schemes import OVERFLOW_GUARD, advance_states, path_generator
 __all__ = ["CHUNK_PATHS", "Lanes", "RunResult", "run_paths", "step_paths"]
 
 # Fixed segment width: the unit of the moment reductions and of the work a
-# drawing thread claims.  Must not depend on the worker count or reductions
+# drawing thread owns.  Must not depend on the worker count or reductions
 # would change with it.
 CHUNK_PATHS = 512
 
@@ -244,12 +245,13 @@ def run_paths(
     terminal state norms; ``record_paths`` keeps the full trajectories of
     that many leading paths (memory scales with record_paths * steps).
 
-    The run uses ``min(workers, segments per window)`` threads.  For each
-    block of steps they draw the window's increments together, from per-path
-    generators that live as long as the window; then one of them steps all
-    lanes while the others wait.  The result does not depend on ``workers``.
-    If a thread raises, the others are released and the first error that is
-    not ``threading.BrokenBarrierError`` is re-raised.
+    The run uses ``min(workers, segments per window)`` threads, each in a copy
+    of the caller's context, so ``np.errstate`` holds in all of them.  For each
+    block thread ``rank`` draws segments ``rank``, ``rank + jobs``, ... of the
+    window from per-path generators that live as long as the window, then
+    waits at a barrier; the last thread to arrive steps all lanes.  The result
+    does not depend on ``workers``.  If a thread raises, the others are
+    released and the first error that is not ``BrokenBarrierError`` is re-raised.
     """
     if paths < 1:
         raise InputError(f"paths must be >= 1, got {paths}")
@@ -271,24 +273,36 @@ def run_paths(
     generators = [None] * increments.shape[1]  # one per lane of the current window
     scale = math.sqrt(delta / refinement)
     group = max(1, min(chunk_paths, GROUP_NORMALS // (block * refinement)))
-    barrier = threading.Barrier(jobs)
-    claim_lock = threading.Lock()
-    shared = {"claimed": 0, "frozen": False}  # written by the stepping thread while the others wait
 
-    def draw(fine_buf: np.ndarray, sum_buf: np.ndarray, start: int, count: int, k0: int) -> None:
-        """Fill the block's increments of every segment this thread claims.
+    def window(first: int) -> Lanes:
+        return Lanes(model, radius, x0_row, delta, out, first, min(width, paths - first), moment_p=moment_p,
+                     segment=chunk_paths, overflow_guard=overflow_guard, compensation=compensation)
+
+    # the cursor: only the barrier's action moves it, while every thread waits
+    start, k0, lanes = 0, 0, window(0)
+
+    def step_block() -> None:
+        """Step the drawn block through every lane of the window, then move the cursor on."""
+        nonlocal start, k0, lanes
+        b = min(block, steps - k0)
+        more = step_paths(lanes, increments[:b, : len(lanes.x)].T)
+        k0 += b
+        if not more or k0 == steps:
+            start, k0 = start + width, 0
+            if start < paths:
+                lanes = window(start)
+
+    barrier = threading.Barrier(jobs, action=step_block)
+
+    def draw(rank: int, fine_buf: np.ndarray, sum_buf: np.ndarray) -> None:
+        """Fill the block's increments of the segments thread ``rank`` owns.
 
         ``group`` paths at a time: each path's fine normals come from its own
         generator, then the group is scaled, summed row by row (a row sum even
         at refinement 1, where it maps -0.0 to 0.0) and transposed into place.
         """
-        b = min(block, steps - k0)
-        while True:
-            with claim_lock:
-                first = shared["claimed"] * chunk_paths
-                shared["claimed"] += 1
-            if first >= count:
-                return
+        count, b = min(width, paths - start), min(block, steps - k0)
+        for first in range(rank * chunk_paths, count, jobs * chunk_paths):
             end = min(first + chunk_paths, count)
             for lo in range(first, end, group):
                 n = min(group, end - lo)
@@ -305,21 +319,9 @@ def run_paths(
     def job(rank: int) -> None:
         fine_buf, sum_buf = np.empty(group * block * refinement), np.empty(group * block)
         try:
-            for start in range(0, paths, width):
-                count = min(width, paths - start)
-                if rank == 0:
-                    lanes = Lanes(model, radius, x0_row, delta, out, start, count, moment_p=moment_p,
-                                  segment=chunk_paths, overflow_guard=overflow_guard,
-                                  compensation=compensation)
-                for k0 in range(0, steps, block):
-                    draw(fine_buf, sum_buf, start, count, k0)
-                    barrier.wait()  # every increment of the block is drawn
-                    if rank == 0:
-                        shared["claimed"] = 0
-                        shared["frozen"] = not step_paths(lanes, increments[: min(block, steps - k0), :count].T)
-                    barrier.wait()  # the block is stepped
-                    if shared["frozen"]:
-                        break
+            while start < paths:
+                draw(rank, fine_buf, sum_buf)
+                barrier.wait()  # the last thread to arrive steps the block
         except BaseException:
             barrier.abort()  # release the other threads
             raise
@@ -328,7 +330,8 @@ def run_paths(
         job(0)
         return out
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(job, rank) for rank in range(jobs)]
+        # a fresh copy per job: two threads cannot enter one context
+        futures = [pool.submit(contextvars.copy_context().run, job, rank) for rank in range(jobs)]
         try:
             wait(futures)
         except BaseException:  # e.g. KeyboardInterrupt: stop the threads at their next barrier

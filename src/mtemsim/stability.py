@@ -127,13 +127,18 @@ def _pathwise_summary(result, floor: float) -> PathwiseExponentSummary:
     )
 
 
-def _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, refinement, **kwargs):
+def _run(model, policy_or_radius, scheme, x0, delta, steps, paths, seed, **kwargs):
+    """Resolve the scheme's truncation radius and run the paths."""
+    return run_paths(model, scheme_radius(model, policy_or_radius, scheme, delta), x0, delta, steps, paths, seed,
+                     **kwargs)
+
+
+def _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, **kwargs):
     """Validate a moment run and step it with per-step |X_k|^p sums switched on."""
     if paths < 2:
         raise InputError(f"at least 2 paths are required, got {paths}")
     _check_moment_order(p)
-    radius = scheme_radius(model, policy_or_radius, scheme, delta)
-    return run_paths(model, radius, x0, delta, steps, paths, seed, refinement, moment_p=p, **kwargs)
+    return _run(model, policy_or_radius, scheme, x0, delta, steps, paths, seed, moment_p=p, **kwargs)
 
 
 def run_stability_mc(
@@ -155,7 +160,7 @@ def run_stability_mc(
 ) -> StabilityRun:
     """One Monte Carlo pass yielding both the moment curve and the pathwise summary."""
     result = _moment_run(
-        model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, refinement,
+        model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, refinement=refinement,
         want_terminal=True, overflow_guard=overflow_guard, workers=workers, chunk_paths=chunk_paths,
     )
     return StabilityRun(_moment_estimate(result, p), _pathwise_summary(result, floor))
@@ -174,8 +179,7 @@ def estimate_moment_curve(
     **kwargs,
 ) -> MomentEstimate:
     """Sample mean of |X_k|^p at every step, over ``paths`` independent paths."""
-    result = _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed,
-                         kwargs.pop("refinement", 1), **kwargs)
+    result = _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, **kwargs)
     return _moment_estimate(result, p)
 
 
@@ -194,9 +198,7 @@ def estimate_as_exponent(
     """Per-path decay exponents at the terminal time, with quantiles and max."""
     if steps * delta < 1.0:
         raise InputError(f"terminal time {steps * delta} must be >= 1 for a pathwise exponent")
-    radius = scheme_radius(model, policy_or_radius, scheme, delta)
-    result = run_paths(model, radius, x0, delta, steps, paths, seed,
-                       kwargs.pop("refinement", 1), want_terminal=True, **kwargs)
+    result = _run(model, policy_or_radius, scheme, x0, delta, steps, paths, seed, want_terminal=True, **kwargs)
     return _pathwise_summary(result, floor)
 
 
@@ -271,7 +273,12 @@ class GlobalLipschitzReport:
     straddling_pairs: int
     max_ratio_drift: float
     max_ratio_diffusion: float
-    passed: bool
+    drift_passed: bool
+    diffusion_passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.drift_passed and self.diffusion_passed
 
 
 def _pair_block(rng, model, r_first, r_second):
@@ -338,10 +345,9 @@ def verify_lemma_global_lipschitz(
     ratio_g = float(np.max(state_norms(gx - gy) / gaps))
 
     bound = 3.0 * float(model.lipschitz_bound(h))
-    passed = ratio_f <= bound * (1.0 + rel_slack) and ratio_g <= bound * (1.0 + rel_slack)
     return GlobalLipschitzReport(
         h, bound, rel_slack, int(gaps.size), n_inside, n_outside, n_straddle,
-        ratio_f, ratio_g, passed,
+        ratio_f, ratio_g, ratio_f <= bound * (1.0 + rel_slack), ratio_g <= bound * (1.0 + rel_slack),
     )
 
 

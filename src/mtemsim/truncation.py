@@ -229,11 +229,7 @@ class StepConditionReport:
     """Pointwise audit of the step condition L_{h(delta)}^4 * delta -> 0."""
 
     rows: tuple[StepConditionRow, ...]
-    monotone: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.monotone
+    passed: bool  # the product is nonincreasing as delta decreases
 
 
 def verify_step_condition(
@@ -255,8 +251,8 @@ def verify_step_condition(
         level = float(lipschitz_bound(h))
         rows.append(StepConditionRow(float(delta), h, level, level**4 * float(delta)))
     ordered = sorted(rows, key=lambda row: row.delta, reverse=True)
-    monotone = all(
+    passed = all(
         later.product <= earlier.product * (1.0 + 1e-12)
         for earlier, later in zip(ordered, ordered[1:])
     )
-    return StepConditionReport(tuple(rows), monotone)
+    return StepConditionReport(tuple(rows), passed)

@@ -221,3 +221,10 @@ def test_seventeen_digit_formatting(tmp_path):
     t_field = row.split(",")[2]
     assert float(t_field) == 5e-4
     assert t_field == format(5e-4, ".17g")
+
+
+def test_a_flag_that_does_not_parse_exits_2_with_its_key(tmp_path, capsys):
+    argv = ["simulate", "--steps", "ten", "--paths", "2", "--out", str(tmp_path / "bad")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "steps:" in err and "Traceback" not in err

@@ -15,6 +15,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -182,9 +183,9 @@ def test_a_draw_that_raises_reaches_the_caller_and_ends_every_thread(workers, mo
 
 def test_many_threads_switching_often_keep_the_bytes(monkeypatch):
     # more workers than cores, switching threads as often as the interpreter
-    # allows, six threads racing for segments at each of 1,000 block starts:
-    # a segment drawn twice or never would change the bytes, a lost wake-up
-    # would hang the run
+    # allows, six threads meeting at the barrier at each of 1,000 block
+    # starts: a segment drawn twice or never would change the bytes, a lost
+    # wake-up would hang the run
     monkeypatch.setattr(engine, "BLOCK_STEPS", 2)
 
     def run(workers):
@@ -240,3 +241,63 @@ def test_run_memory_is_bounded_by_window_and_block_not_by_steps(workers):
         tracemalloc.stop()
     # the (paths, steps) increments alone would take 78 MiB
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_no_draw_runs_while_a_block_is_stepped(workers, monkeypatch):
+    stepping = threading.Event()
+    step_paths, path_generator = engine.step_paths, engine.path_generator
+
+    def slow_step(lanes, coarse):
+        stepping.set()
+        try:
+            time.sleep(1e-4)  # let a drawing thread run if one could
+            return step_paths(lanes, coarse)
+        finally:
+            stepping.clear()
+
+    class Checked:
+        def __init__(self, generator):
+            self.generator = generator
+
+        def standard_normal(self, **kwargs):
+            assert not stepping.is_set(), "a draw ran while a block was being stepped"
+            return self.generator.standard_normal(**kwargs)
+
+    monkeypatch.setattr(engine, "BLOCK_STEPS", 5)
+    monkeypatch.setattr(engine, "step_paths", slow_step)
+    monkeypatch.setattr(engine, "path_generator", lambda seed, i: Checked(path_generator(seed, i)))
+    box = {}
+    assert _error_within(20, lambda: box.setdefault("run", run_paths(
+        m.example41(), 1.5, 2.0, 1e-2, 40, 64, 3, 2, moment_p=0.5, chunk_paths=8, workers=workers))) is None
+    assert box["run"].alive[-1] == 64  # 8 blocks stepped over 8 segments, every draw checked
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("refinement", [3, 16])
+def test_a_single_path_equals_its_lane_at_every_refinement(refinement, workers):
+    # 1,100 steps: two full blocks and a ragged one; paths on both sides of a segment edge
+    ex41 = m.example41()
+    delta, steps, paths = 5e-4, 1100, 530
+    radius = default_policy(ex41).radius(delta)
+    batch = run_paths(ex41, radius, 2.0, delta, steps, paths, 31, refinement, record_paths=paths,
+                      workers=workers)
+    for i in (0, 511, 512, 529):
+        path = m.BrownianPath.generate(31, i, delta, steps, refinement=refinement)
+        rec = m.simulate_path(ex41, radius, "mtem", 2.0, delta, steps, path)
+        assert rec.states.tobytes() == batch.states[i].tobytes()
+
+
+def test_the_callers_errstate_holds_on_every_worker_thread():
+    # every em path from x0 = 50 diverges, and 0 ** -0.5 divides by zero
+    def run(workers):
+        return run_paths(m.example41(), np.inf, 50.0, 5e-3, 300, 40, 9, 1, moment_p=-0.5,
+                         want_terminal=True, record_paths=40, overflow_guard=1e4, chunk_paths=16,
+                         workers=workers)
+
+    with warnings.catch_warnings(), np.errstate(divide="ignore", invalid="ignore"):
+        warnings.simplefilter("error")
+        single, pooled = run(1), run(2)
+    assert single.diverged_paths == 40
+    for got, want in zip(_arrays(pooled), _arrays(single)):
+        assert got.tobytes() == want.tobytes()
