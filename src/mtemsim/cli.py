@@ -7,8 +7,8 @@ it reproduces the outputs byte for byte.  All floating-point CSV fields use
 17 significant digits; nothing in the outputs depends on time, locale, or
 worker count.
 
-Exit codes: 0 success, 2 configuration error, 3 verification failure,
-4 estimation failure.
+Exit codes: 0 success, 2 configuration error (also for outputs too large to
+allocate), 3 verification failure, 4 estimation failure.
 """
 
 from __future__ import annotations
@@ -184,10 +184,11 @@ def _f(value) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write the header, then each row: a list of fields, or a string of whole lines."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
+            fh.write(row if isinstance(row, str) else ",".join(row) + "\n")
 
 
 def _manifest_lines(config: RunConfig, subcommand: str) -> list[str]:
@@ -218,17 +219,15 @@ def _cmd_simulate(config: RunConfig, workers: int) -> int:
     )
     d = model.dimension
     header = ["path_index", "k", "t"] + [f"x{i}" for i in range(d)] + ["diverged"]
+    times = [k * config.delta for k in range(config.steps + 1)]
 
-    def rows():
-        for idx in range(config.paths):
-            first = result.first_divergence[idx]
-            last = config.steps if first < 0 else int(first)
-            flag = "0" if first < 0 else "1"
-            for k in range(last + 1):
-                yield [str(idx), str(k), _f(k * config.delta)] + \
-                    [_f(v) for v in result.states[idx, k]] + [flag]
+    def paths():  # one "%" format per row, one write per path
+        for idx, first in enumerate(result.first_divergence.tolist()):
+            n = config.steps + 1 if first < 0 else first + 1
+            fmt = f"{idx},%d,%.17g{',%.17g' * d},{int(first >= 0)}\n"
+            yield "".join([fmt % row for row in zip(range(n), times, *result.states[idx, :n].T.tolist())])
 
-    _write_csv(f"{config.out}_paths.csv", header, rows())
+    _write_csv(f"{config.out}_paths.csv", header, paths())
     return 0
 
 
@@ -307,34 +306,33 @@ def _cmd_verify(config: RunConfig, workers: int) -> int:
 def _cmd_compare(config: RunConfig, workers: int) -> int:
     model = _build_model(config)
     radius = default_policy(model).radius(config.delta)
-    # one run per scheme: the tallies cover every path, the CSV the first few
+    # one run, a lane per scheme on each path drawn once; tallies cover every path, the CSV a few
     n_show = min(config.paths, COMPARE_TRAJECTORY_PATHS)
-    common = dict(record_paths=n_show, workers=workers)
-    mtem = run_paths(model, radius, config.x0, config.delta, config.steps,
-                     config.paths, config.seed, config.refinement, **common)
-    em = run_paths(model, math.inf, config.x0, config.delta, config.steps,
-                   config.paths, config.seed, config.refinement, **common)
+    schemes = run_paths(model, (radius, math.inf), config.x0, config.delta, config.steps, config.paths,
+                        config.seed, config.refinement, record_paths=n_show, workers=workers).split(2)
 
     d = model.dimension
     header = ["path_index", "k", "t"] + [f"mtem_x{i}" for i in range(d)] + [f"em_x{i}" for i in range(d)]
+    times = [k * config.delta for k in range(config.steps + 1)]
 
-    def rows():
+    def paths():  # a scheme's fields stay empty after the state it diverged at
         for idx in range(n_show):
-            last_m = config.steps if mtem.first_divergence[idx] < 0 else int(mtem.first_divergence[idx])
-            last_e = config.steps if em.first_divergence[idx] < 0 else int(em.first_divergence[idx])
-            for k in range(config.steps + 1):
-                mt = [_f(v) for v in mtem.states[idx, k]] if k <= last_m else [""] * d
-                et = [_f(v) for v in em.states[idx, k]] if k <= last_e else [""] * d
-                yield [str(idx), str(k), _f(k * config.delta)] + mt + et
+            firsts = [int(r.first_divergence[idx]) for r in schemes]
+            lasts = [config.steps if first < 0 else first for first in firsts]
+            k = 0
+            for end in sorted({*lasts, config.steps}):  # rows k..end show the same schemes
+                shown = [last >= end for last in lasts]
+                fmt = f"{idx},%d,%.17g" + "".join(",%.17g" * d if s else "," * d for s in shown) + "\n"
+                columns = [c for r, s in zip(schemes, shown) if s for c in r.states[idx, k:end + 1].T.tolist()]
+                yield "".join([fmt % row for row in zip(range(k, end + 1), times[k:end + 1], *columns)])
+                k = end + 1
 
-    _write_csv(f"{config.out}_compare.csv", header, rows())
+    _write_csv(f"{config.out}_compare.csv", header, paths())
     _write_csv(
         f"{config.out}_tallies.csv",
         ["scheme", "paths", "diverged", "divergence_fraction"],
-        [
-            ["mtem", str(config.paths), str(mtem.diverged_paths), _f(mtem.diverged_paths / config.paths)],
-            ["em", str(config.paths), str(em.diverged_paths), _f(em.diverged_paths / config.paths)],
-        ],
+        [[name, str(config.paths), str(r.diverged_paths), _f(r.diverged_paths / config.paths)]
+         for name, r in zip(("mtem", "em"), schemes)],
     )
     return 0
 
@@ -398,6 +396,9 @@ def main(argv=None) -> int:
         return 4
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. steps * paths too large to record
+        print(f"memory error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -2,7 +2,9 @@
 
 The paths of a run are stepped as the lanes of one array, a window of up to
 ``WINDOW_SEGMENTS`` segments of ``chunk_paths`` paths at a time, and time
-advances in blocks of ``BLOCK_STEPS`` steps.  For each block every worker
+advances in blocks of ``BLOCK_STEPS`` steps.  A path may have a lane per
+truncation radius, MTEM beside plain EM say, all reading its increments,
+drawn once.  For each block every worker
 thread draws the Brownian increments of the segments it owns, then waits at
 one barrier; the last thread to arrive steps every lane through the block
 as the barrier's action, before any thread is released.  So drawing and
@@ -31,6 +33,7 @@ import numpy as np
 from .errors import InputError
 from .models import SdeModel, as_state, state_norms
 from .schemes import OVERFLOW_GUARD, advance_states, path_generator
+from .truncation import UNTRUNCATED
 
 __all__ = ["CHUNK_PATHS", "Lanes", "RunResult", "run_paths", "step_paths"]
 
@@ -65,6 +68,13 @@ class RunResult:
     @property
     def diverged_paths(self) -> int:
         return int(np.count_nonzero(self.first_divergence >= 0))
+
+    def split(self, parts: int) -> list["RunResult"]:
+        """The results of a run over ``parts`` radii, one per radius, as views of this one."""
+        pieces = [[None] * parts if a is None else np.split(a, parts)
+                  for a in (self.first_divergence, self.terminal_norm, self.states)]
+        return [RunResult(self.paths // parts, self.steps, self.delta, first, terminal, self.moment_sum,
+                          self.moment_sqsum, self.alive, states) for first, terminal, states in zip(*pieces)]
 
     @classmethod
     def empty(cls, paths, steps, delta, dimension, *, moments=False, want_terminal=False, record_paths=0):
@@ -107,33 +117,39 @@ def _moment_sums(norms: np.ndarray, p: float, segment: int, sums: np.ndarray, sq
 
 
 class Lanes:
-    """Lanes ``start:start + count`` of a run, and what carries from one block to the next.
+    """Paths ``start:start + count`` under each radius, and what carries from one block to the next.
 
-    ``out`` receives the lanes' first divergences, recorded states and
-    terminal norms.  With ``moment_p`` set, the sums of |X_k|^p and
+    ``radius`` is one radius or several; lane ``s * count + i`` is path
+    ``start + i`` under the ``s``-th, and ``out``, radius-major too, receives
+    the lanes' first divergences, recorded states and terminal norms.  With
+    ``moment_p`` set, which needs one radius, the sums of |X_k|^p and
     |X_k|^(2p) over each segment of ``segment`` lanes are merged into
     ``out``'s moment sums, segment by segment in path order, with the Kahan
     ``compensation`` arrays that every window of the run shares.
     """
 
-    def __init__(self, model: SdeModel, radius: float, x0: np.ndarray, delta: float, out: RunResult,
+    def __init__(self, model: SdeModel, radius, x0: np.ndarray, delta: float, out: RunResult,
                  start: int = 0, count: int | None = None, *, moment_p: float | None = None,
                  segment: int = CHUNK_PATHS, overflow_guard: float = OVERFLOW_GUARD,
                  compensation: tuple[np.ndarray, np.ndarray] | None = None):
-        count = out.paths - start if count is None else count
-        self.model, self.radius, self.delta, self.overflow_guard = model, radius, delta, overflow_guard
-        self.out, self.start, self.segment = out, start, segment
+        radii = np.minimum(np.ravel(radius), UNTRUNCATED)
+        copies, paths = radii.size, out.paths // radii.size
+        count = paths - start if count is None else count
+        self.model, self.delta, self.overflow_guard = model, delta, overflow_guard
+        self.radius = np.repeat(radii, count)  # one per lane: a single kernel serves one radius or several
+        self.out, self.start, self.count, self.copies, self.segment = out, start, count, copies, segment
         self.moment_p = moment_p
         self.k = 0  # steps taken
-        self.x = np.tile(x0, (count, 1))
+        self.x = np.tile(x0, (copies * count, 1))
         self.norms = state_norms(self.x)
-        self.alive = np.ones(count, dtype=bool)
+        self.alive = np.ones(copies * count, dtype=bool)
         self.every_alive = True  # until a lane freezes, no mask needs applying
-        self.first_divergence = out.first_divergence[start:start + count]
-        recorded = 0 if out.states is None else min(max(out.states.shape[0] - start, 0), count)
-        self.states = out.states[start:start + recorded] if recorded > 0 else None
-        if self.states is not None:
-            self.states[:, 0] = self.x[:recorded]
+        self.first_divergence = out.first_divergence.reshape(copies, paths)[:, start:start + count]
+        recorded = 0 if out.states is None else min(max(out.states.shape[0] // copies - start, 0), count)
+        self.states = None  # (copies, recorded, steps + 1, d)
+        if recorded > 0:
+            self.states = out.states.reshape(copies, -1, *out.states.shape[1:])[:, start:start + recorded]
+            self.states[:, :, 0] = x0
         if moment_p is not None:
             self.compensation = compensation or (np.zeros(out.steps + 1), np.zeros(out.steps + 1))
             nseg = -(-count // segment)
@@ -152,10 +168,11 @@ class Lanes:
 
 
 def step_paths(lanes: Lanes, coarse: np.ndarray) -> bool:
-    """Step every lane through the (count, b) coarse increments, one column per step.
+    """Step every lane through the (count, b) coarse increments of its path, one column per step.
 
     This is the package's one stepping loop, run by a single thread; its
-    columns are read fastest from the transpose of a step-major array.  A lane
+    columns are read fastest from the transpose of a step-major array.  Every
+    copy of a path, one per radius, reads the path's column.  A lane
     is frozen at zero from the step its norm turns non-finite or exceeds the
     overflow guard; recorded states are kept up to and including that step.
     Frozen lanes are stepped on from zero until every lane is frozen.  Then
@@ -167,7 +184,8 @@ def step_paths(lanes: Lanes, coarse: np.ndarray) -> bool:
     x, norms, alive, every_alive = lanes.x, lanes.norms, lanes.alive, lanes.every_alive
     first_div, states, moment_p, segment = lanes.first_divergence, lanes.states, lanes.moment_p, lanes.segment
     count, b = coarse.shape
-    recorded = 0 if states is None else states.shape[0]
+    copies = lanes.copies  # lanes per path, one per radius
+    recorded = 0 if states is None else states.shape[1]
     k0 = lanes.k
     if moment_p is not None:
         nseg = -(-count // segment)
@@ -178,22 +196,24 @@ def step_paths(lanes: Lanes, coarse: np.ndarray) -> bool:
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(b):
             k = k0 + j
-            xn = advance_states(model, radius, x, delta, coarse[:, j], norms)
+            db = coarse[:, j] if copies == 1 else np.tile(coarse[:, j], copies)
+            xn = advance_states(model, radius, x, delta, db, norms)
             norms = state_norms(xn)
             if states is not None:
                 # keep the flagged state visible, then freeze the lane
+                shown = xn.reshape(copies, count, -1)[:, :recorded]
                 if every_alive:
-                    states[:, k + 1] = xn[:recorded]
+                    states[:, :, k + 1] = shown
                 else:
-                    keep = alive[:recorded]
-                    states[keep, k + 1] = xn[:recorded][keep]
+                    keep = alive.reshape(copies, count)[:, :recorded]
+                    states[keep, k + 1] = shown[keep]
             within = norms <= guard  # False for NaN and inf norms too
             froze = False
             if not within.all():
                 bad = alive & ~within
                 froze = bad.any()
                 if froze:
-                    first_div[bad] = k + 1
+                    first_div[bad.reshape(copies, count)] = k + 1
                     alive &= ~bad
                     every_alive = False
             if not every_alive:
@@ -217,13 +237,14 @@ def step_paths(lanes: Lanes, coarse: np.ndarray) -> bool:
             lanes.merge(lanes.k + 1, np.broadcast_to(sums[j], (rest, nseg)),
                         np.broadcast_to(sqsums[j], (rest, nseg)), 0)
     if (frozen or lanes.k == steps) and lanes.out.terminal_norm is not None:
-        lanes.out.terminal_norm[lanes.start:lanes.start + count] = np.where(alive, norms, np.nan)
+        terminal = lanes.out.terminal_norm.reshape(copies, -1)[:, lanes.start:lanes.start + count]
+        terminal[:] = np.where(alive, norms, np.nan).reshape(copies, count)
     return not frozen
 
 
 def run_paths(
     model: SdeModel,
-    radius: float,
+    radius,
     x0,
     delta: float,
     steps: int,
@@ -245,6 +266,12 @@ def run_paths(
     terminal state norms; ``record_paths`` keeps the full trajectories of
     that many leading paths (memory scales with record_paths * steps).
 
+    ``radius`` is one truncation radius (+inf for none) or several, which
+    step each path as lanes of one run, sharing its increments, drawn once.
+    The result then holds ``len(radius) * paths`` lanes, radius-major, and
+    ``split`` gives one result per radius, byte for byte equal to a run under
+    that radius alone.  Moment sums need a single radius.
+
     The run uses ``min(workers, segments per window)`` threads, each in a copy
     of the caller's context, so ``np.errstate`` holds in all of them.  For each
     block thread ``rank`` draws segments ``rank``, ``rank + jobs``, ... of the
@@ -261,9 +288,12 @@ def run_paths(
         raise InputError(f"step size must be positive, got {delta}")
     if refinement < 1 or chunk_paths < 1:
         raise InputError("refinement and chunk_paths must be >= 1")
+    copies = np.size(radius)
+    if copies != 1 and (copies == 0 or moment_p is not None):
+        raise InputError("give a radius, and a single one for moment sums")
     x0_row = as_state(model, x0)
-    out = RunResult.empty(paths, steps, delta, model.dimension, moments=moment_p is not None,
-                          want_terminal=want_terminal, record_paths=record_paths)
+    out = RunResult.empty(copies * paths, steps, delta, model.dimension, moments=moment_p is not None,
+                          want_terminal=want_terminal, record_paths=copies * min(record_paths, paths))
     compensation = (np.zeros(steps + 1), np.zeros(steps + 1)) if moment_p is not None else None
 
     width = WINDOW_SEGMENTS * chunk_paths
@@ -285,7 +315,7 @@ def run_paths(
         """Step the drawn block through every lane of the window, then move the cursor on."""
         nonlocal start, k0, lanes
         b = min(block, steps - k0)
-        more = step_paths(lanes, increments[:b, : len(lanes.x)].T)
+        more = step_paths(lanes, increments[:b, : lanes.count].T)
         k0 += b
         if not more or k0 == steps:
             start, k0 = start + width, 0

@@ -132,8 +132,8 @@ def as_state(model: SdeModel, x) -> np.ndarray:
 
 
 def state_norms(xs: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the trailing state axis."""
-    return np.sqrt(np.einsum("...i,...i->...", xs, xs))
+    """Euclidean norm over the trailing state axis, which neither underflows nor overflows."""
+    return np.abs(xs[..., 0]) if xs.shape[-1] == 1 else np.hypot.reduce(xs, axis=-1)
 
 
 def evaluate_drift(model: SdeModel, x) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .models import SdeModel, as_state
-from .truncation import resolve_radius, truncated_batch
+from .models import SdeModel, as_state, state_norms
+from .truncation import resolve_radius, truncation_factors
 
 __all__ = [
     "OVERFLOW_GUARD",
@@ -26,7 +26,6 @@ __all__ = [
     "SCHEMES",
     "BrownianPath",
     "TrajectoryRecord",
-    "fine_increments",
     "path_generator",
     "scheme_radius",
     "advance_states",
@@ -53,20 +52,6 @@ def path_generator(master_seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def fine_increments(master_seed: int, path_index: int, delta: float, steps: int, refinement: int) -> np.ndarray:
-    """Fine-grid Wiener increments for one path, shape (steps, refinement).
-
-    Each entry is N(0, delta / refinement); summing a row yields the coarse
-    increment for that step.
-    """
-    if not delta > 0.0:
-        raise InputError(f"step size must be positive, got {delta}")
-    if steps < 1 or refinement < 1:
-        raise InputError("steps and refinement must be >= 1")
-    z = path_generator(master_seed, path_index).standard_normal(steps * refinement)
-    return (math.sqrt(delta / refinement) * z).reshape(steps, refinement)
-
-
 @dataclass(frozen=True)
 class BrownianPath:
     """Seeded fine-grid Wiener increments for one path."""
@@ -78,15 +63,15 @@ class BrownianPath:
     fine: np.ndarray  # (steps, refinement)
 
     @classmethod
-    def generate(
-        cls,
-        master_seed: int,
-        path_index: int,
-        delta: float,
-        steps: int,
-        refinement: int = DEFAULT_REFINEMENT,
-    ) -> "BrownianPath":
-        fine = fine_increments(master_seed, path_index, delta, steps, refinement)
+    def generate(cls, master_seed: int, path_index: int, delta: float, steps: int,
+                 refinement: int = DEFAULT_REFINEMENT) -> "BrownianPath":
+        """The path's (steps, refinement) fine increments, each N(0, delta / refinement)."""
+        if not delta > 0.0:
+            raise InputError(f"step size must be positive, got {delta}")
+        if steps < 1 or refinement < 1:
+            raise InputError("steps and refinement must be >= 1")
+        z = path_generator(master_seed, path_index).standard_normal(steps * refinement)
+        fine = (math.sqrt(delta / refinement) * z).reshape(steps, refinement)
         return cls(master_seed, path_index, delta, refinement, fine)
 
     @property
@@ -134,19 +119,23 @@ def scheme_radius(model: SdeModel, policy_or_radius, scheme: str, delta: float) 
 
 
 def advance_states(
-    model: SdeModel, radius: float, states: np.ndarray, delta: float, db: np.ndarray,
+    model: SdeModel, radius, states: np.ndarray, delta: float, db: np.ndarray,
     norms: np.ndarray | None = None,
 ) -> np.ndarray:
     """One explicit step x + f_h(x) delta + g_h(x) dB over a batch of states.
 
     ``states`` has shape (n, d) and ``db`` shape (n,); all lanes share the
-    step size.  ``norms``, the row norms of ``states`` if the caller has them,
-    spares both truncated evaluations from recomputing them.  This is the
-    single stepping kernel used everywhere, so a path advances bit-identically
-    whether it is simulated alone or in a batch.
+    step size, and ``radius`` is as in ``truncation_factors``.  ``norms``, the
+    row norms of ``states`` if the caller has them, spares recomputing them.
+    Drift and diffusion are evaluated at the same projected states.  This is
+    the single stepping kernel used everywhere, so a path advances
+    bit-identically whether it is simulated alone or in a batch, under one
+    radius or beside lanes with others.
     """
-    f_vals = truncated_batch(model.drift, states, radius, norms)
-    g_vals = truncated_batch(model.diffusion, states, radius, norms)
+    inward, outward = truncation_factors(state_norms(states) if norms is None else norms, radius)
+    projected = inward * states
+    f_vals = outward * np.asarray(model.drift(projected), dtype=float)
+    g_vals = outward * np.asarray(model.diffusion(projected), dtype=float)
     return states + f_vals * delta + g_vals * db[..., None]
 
 

@@ -250,10 +250,7 @@ def fit_exponent(estimate: MomentEstimate, window: tuple[float, float], floor: f
     fitted = slope * t_sel + intercept
     ss_res = float(np.sum((y - fitted) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot > 0.0:
-        r_squared = 1.0 - ss_res / ss_tot
-    else:
-        r_squared = 1.0 if ss_res == 0.0 else 0.0
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else float(ss_res == 0.0)
     return ExponentFit(float(slope), float(intercept), (t_lo, t_hi), r_squared, censored)
 
 
@@ -323,13 +320,8 @@ def verify_lemma_global_lipschitz(
     n_straddle = trials - n_inside - n_outside
     outer = radius_multiple * h
 
-    blocks = []
-    if n_inside:
-        blocks.append(_pair_block(rng, model, rng.uniform(0.0, h, n_inside), rng.uniform(0.0, h, n_inside)))
-    if n_outside:
-        blocks.append(_pair_block(rng, model, rng.uniform(h, outer, n_outside), rng.uniform(h, outer, n_outside)))
-    if n_straddle:
-        blocks.append(_pair_block(rng, model, rng.uniform(0.0, h, n_straddle), rng.uniform(h, outer, n_straddle)))
+    cases = ((n_inside, (0.0, h), (0.0, h)), (n_outside, (h, outer), (h, outer)), (n_straddle, (0.0, h), (h, outer)))
+    blocks = [_pair_block(rng, model, rng.uniform(*a, n), rng.uniform(*b, n)) for n, a, b in cases if n]
 
     x = np.concatenate([b[0] for b in blocks])
     y = np.concatenate([b[1] for b in blocks])

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 DEFAULT_BRACKET = (1e-6, 1e9)
+# +inf as a radius that scales: fmax(|x|, R) = R for finite |x|, so both factors are 1
+UNTRUNCATED = float(np.finfo(float).max)
 _BRACKET_GROWTH = 1e3
 _MAX_BRACKET_EXPANSIONS = 4
 
@@ -182,24 +184,32 @@ def resolve_radius(policy_or_radius, delta: float | None = None) -> float:
     return h
 
 
-def truncated_batch(coefficient, xs: np.ndarray, radius: float, norms: np.ndarray | None = None) -> np.ndarray:
+def truncation_factors(norms: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
+    """Columns h / max(|x|, h), projecting states onto the ball, and max(|x|, h) / h, scaling back.
+
+    ``radius`` is one radius, +inf for none, or one finite radius per row,
+    ``UNTRUNCATED`` for none.  Inside the ball both factors are exactly 1.
+    """
+    if np.ndim(radius) == 0:
+        radius = min(radius, UNTRUNCATED)
+    reach = np.fmax(norms, radius)  # |x| outside the ball, h inside it
+    return (radius / reach)[..., None], (reach / radius)[..., None]
+
+
+def truncated_batch(coefficient, xs: np.ndarray, radius, norms: np.ndarray | None = None) -> np.ndarray:
     """Evaluate a coefficient with radial truncation over a batch of states.
 
     ``xs`` has shape (n, d); ``norms`` may carry its row norms when the
-    caller already has them.  The coefficient is called once, on the states
-    projected onto the closed ball, and the result is scaled back by |x| / h.
-    Inside the ball both scale factors are h / h = 1 exactly, so there the
-    result is bit-identical to the raw coefficient; ``fmax`` keeps lanes at
-    zero or with a NaN norm on that branch, as the comparison |x| > h would.
+    caller already has them, and ``radius`` is as in ``truncation_factors``.
+    The coefficient is called once, on the states projected onto the closed
+    ball, and the result is scaled back by |x| / h.  Inside the ball, and at
+    finite states for an infinite radius, that is the raw coefficient, bit for
+    bit; ``fmax`` keeps lanes at zero or with a NaN norm on that branch, as
+    the comparison |x| > h would.
     """
     xs = np.asarray(xs, dtype=float)
-    if np.isinf(radius):
-        return np.asarray(coefficient(xs), dtype=float)
-    if norms is None:
-        norms = state_norms(xs)
-    reach = np.fmax(norms, radius)[..., None]  # |x| outside the ball, h inside it
-    values = np.asarray(coefficient((radius / reach) * xs), dtype=float)
-    return (reach / radius) * values
+    inward, outward = truncation_factors(state_norms(xs) if norms is None else norms, radius)
+    return outward * np.asarray(coefficient(inward * xs), dtype=float)
 
 
 def eval_f_delta(model: SdeModel, policy_or_radius, x, delta: float | None = None) -> np.ndarray:

@@ -1,9 +1,11 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mtemsim as m
+from mtemsim import cli, engine
 from mtemsim.cli import main, parse_config, run_command
 from mtemsim.errors import ConfigError
 
@@ -228,3 +230,47 @@ def test_a_flag_that_does_not_parse_exits_2_with_its_key(tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "steps:" in err and "Traceback" not in err
+
+
+def test_compare_steps_both_schemes_in_one_run_drawing_each_path_once(tmp_path, monkeypatch):
+    radii, drawn = [], []
+    run_paths, path_generator = cli.run_paths, engine.path_generator
+
+    def counted_run(model, radius, *args, **kwargs):
+        radii.append(radius)
+        return run_paths(model, radius, *args, **kwargs)
+
+    def counted_generator(master_seed, path_index):
+        drawn.append(path_index)
+        return path_generator(master_seed, path_index)
+
+    monkeypatch.setattr(cli, "run_paths", counted_run)
+    monkeypatch.setattr(engine, "path_generator", counted_generator)
+    # 600 steps: two blocks, and each path's generator lives across both
+    config = parse_config(flags=dict(model="example41", delta="5e-4", steps="600", paths="40",
+                                     seed="13", refinement="1", x0="3.0", out=str(tmp_path / "cmp")))
+    assert run_command("compare", config, workers=2) == 0
+    assert len(radii) == 1 and radii[0][1] == math.inf
+    assert sorted(drawn) == list(range(40))
+
+
+@pytest.mark.parametrize("value", [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, 5e-4 * 1999,
+])
+def test_percent_formatting_equals_format_builtin(value):
+    # the CSV rows are "%.17g" % row; the other fields use format(float(v), ".17g")
+    assert "%.17g" % value == format(float(value), ".17g")
+    assert "%.17g" % np.float64(value).tolist() == format(np.float64(value), ".17g")
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponent", "--model", "example41", "--delta", "5e-4", "--steps", "10000000000000", "--paths", "4"],
+    ["compare", "--steps", "100000000000"],
+])
+def test_outputs_too_large_to_allocate_exit_2_without_traceback(tmp_path, capsys, argv):
+    # the result arrays (72.8 TiB and 5.8 TiB) are refused at once, before any step
+    assert main([*argv, "--out", str(tmp_path / "big")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("memory error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -8,6 +8,7 @@ horizon; it is checked only on the numpy version it was captured on.
 Worker threads draw each block's increments together, and one of them steps
 every lane.  Neither the worker count, the block length nor the window
 changes an output byte, and memory does not grow with the number of steps.
+A run over several radii splits back into the runs under each radius alone.
 """
 
 import hashlib
@@ -23,6 +24,7 @@ import pytest
 import mtemsim as m
 from mtemsim import engine
 from mtemsim.engine import run_paths
+from mtemsim.errors import InputError
 from mtemsim.models import SdeModel
 from mtemsim.truncation import default_policy
 
@@ -210,15 +212,19 @@ def test_block_window_and_draw_group_change_no_byte(paths, refinement, monkeypat
     # em from x0 = 3 loses some paths, from x0 = 1000 every path of every window
     ex41 = m.example41()
     runs = [(1.5, 2.0), (np.inf, 3.0), (np.inf, 1000.0)]
+    # mtem and em as lanes of one run; at x0 = 1e200 both lose every path at once
+    stacked = [3.0, 1000.0, 1e200]
 
     def run(radius, x0, workers):
+        single = np.ndim(radius) == 0
         with np.errstate(over="ignore", invalid="ignore"):
-            return run_paths(ex41, radius, x0, 5e-3, 60, paths, 13, refinement, moment_p=0.5,
-                             want_terminal=True, record_paths=paths // 2 + 3, chunk_paths=128,
-                             workers=workers)
+            return run_paths(ex41, radius, x0, 5e-3, 60, paths, 13, refinement,
+                             moment_p=0.5 if single else None, want_terminal=True,
+                             record_paths=paths // 2 + 3, chunk_paths=128, workers=workers)
 
     expected = [run(radius, x0, 1) for radius, x0 in runs]
     assert expected[1].diverged_paths not in (0, paths) and expected[2].diverged_paths == paths
+    alone = {x0: [run(radius, x0, 1) for radius in (1.5, np.inf)] for x0 in stacked}
     monkeypatch.setattr(engine, "BLOCK_STEPS", 7)  # 60 steps: 8 blocks and a ragged one
     monkeypatch.setattr(engine, "WINDOW_SEGMENTS", 2)  # several windows, the last one ragged
     monkeypatch.setattr(engine, "GROUP_NORMALS", 50)  # draws summed 7 or 2 paths at a time
@@ -226,6 +232,17 @@ def test_block_window_and_draw_group_change_no_byte(paths, refinement, monkeypat
         for (radius, x0), reference in zip(runs, expected):
             for got, want in zip(_arrays(run(radius, x0, workers)), _arrays(reference)):
                 assert got.tobytes() == want.tobytes()
+        for x0, references in alone.items():
+            both = run((1.5, np.inf), x0, workers)
+            assert both.paths == 2 * paths and both.moment_sum is None
+            for part, reference in zip(both.split(2), references):
+                for name in ("first_divergence", "terminal_norm", "states"):
+                    assert getattr(part, name).tobytes() == getattr(reference, name).tobytes()
+
+
+def test_several_radii_refuse_moment_sums():
+    with pytest.raises(InputError, match="a single one for moment sums"):
+        run_paths(m.example41(), (1.5, np.inf), 2.0, 5e-3, 10, 4, 1, moment_p=0.5)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -5,7 +5,7 @@ import pytest
 
 import mtemsim as m
 from mtemsim.errors import DomainError, EvaluationError, InputError
-from mtemsim.models import SamplingPlan, sample_states
+from mtemsim.models import SamplingPlan, sample_states, state_norms
 
 
 def test_drift_examples(ex41):
@@ -181,3 +181,18 @@ def test_get_model_registry():
         m.get_model("example41", mu=1.0)
     with pytest.raises(InputError):
         m.get_model("nope")
+
+
+def test_state_norms_neither_underflow_nor_overflow():
+    one = np.array([[1e-300], [-5e-324], [1e308], [-1.7976931348623157e308], [-0.0], [-2.5]])
+    assert state_norms(one).tobytes() == np.abs(one[:, 0]).tobytes()
+    three = np.array([[1e-300, 0.0, 0.0], [3e200, -4e200, 0.0], [3e-170, 4e-170, 0.0], [0.0, 0.0, 0.0],
+                      [np.inf, 1.0, 0.0], [np.nan, 1.0, 0.0], [3.0, 4.0, 0.0], [1e308, 1e308, 0.0],
+                      [1.5e308, 1.5e308, 0.0]])
+    with np.errstate(over="ignore"):  # only the last norm lies past the largest float
+        got = state_norms(three)
+    np.testing.assert_allclose(got[:3], [1e-300, 5e200, 5e-170], rtol=1e-15)
+    assert got[3] == 0.0 and got[4] == np.inf and np.isnan(got[5]) and got[6] == 5.0
+    assert got[7] == pytest.approx(math.sqrt(2.0) * 1e308, rel=1e-15) and got[8] == np.inf
+    xs = np.random.default_rng(3).normal(scale=1e3, size=(1000, 3))
+    np.testing.assert_allclose(state_norms(xs), np.sqrt(np.einsum("...i,...i->...", xs, xs)), rtol=4e-16)

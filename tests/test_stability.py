@@ -222,3 +222,11 @@ def test_one_step_contraction_quadrature(ex41, ex41_policy):
     x1 = x + fd * delta + gd * math.sqrt(2.0 * delta) * nodes
     ratio = float(np.sum(weights * np.abs(x1) ** 0.5) / math.sqrt(math.pi)) / x**0.5
     assert ratio <= 1.0 - 0.25 * delta
+
+
+def test_em_decay_far_below_1e_162_is_measured_not_censored():
+    # |X_K| = 0.8^2000 ~ 1.6e-194 is a float, far below where sqrt(x . x)
+    # underflows (~1e-162); such a norm would censor every path at the floor
+    run = m.run_stability_mc(m.linear(-200, 0), None, "em", 0.5, 1.0, 1e-3, 2000, 4, 1, refinement=1)
+    assert run.pathwise.censored == 0
+    assert run.pathwise.q50 == pytest.approx(math.log(0.8) / 1e-3, rel=1e-12)

@@ -158,7 +158,7 @@ def masked_truncated_batch(coefficient, xs, radius):
     values = np.asarray(coefficient(xs), dtype=float)
     if np.isinf(radius):
         return values
-    norms = np.sqrt(np.einsum("...i,...i->...", xs, xs))
+    norms = state_norms(xs)  # the package's norm, which does not overflow at 1e200
     outside = norms > radius
     if np.any(outside):
         if np.may_share_memory(values, xs) or not values.flags.writeable:
