@@ -130,14 +130,11 @@ def _validate(config: RunConfig) -> RunConfig:
         raise ConfigError(f"p: must lie in (0, 1), got {config.p}")
     if not config.delta > 0.0:
         raise ConfigError(f"delta: must be positive, got {config.delta}")
-    if config.steps < 1:
-        raise ConfigError(f"steps: must be >= 1, got {config.steps}")
-    if config.paths < 1:
-        raise ConfigError(f"paths: must be >= 1, got {config.paths}")
+    for key in ("steps", "paths", "refinement"):  # numpy array sizes are int64
+        if not 1 <= getattr(config, key) < 2**63:
+            raise ConfigError(f"{key}: must lie in [1, 2**63), got {getattr(config, key)}")
     if config.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {config.seed}")
-    if config.refinement < 1:
-        raise ConfigError(f"refinement: must be >= 1, got {config.refinement}")
     if not math.isfinite(config.x0):
         raise ConfigError(f"x0: must be finite, got {config.x0}")
     lo, hi = config.window
@@ -371,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for key, (_, text) in _KEYS.items():
             sp.add_argument(f"--{key}", help=text)  # a raw string: _coerce parses it like a file value
         sp.add_argument("--workers", type=int, default=1,
-                        help="threads that draw each block's increments; one steps all paths")
+                        help="processes that draw each block's increments ahead; this one steps all paths")
     return parser
 
 

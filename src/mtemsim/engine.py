@@ -1,17 +1,15 @@
-"""Multi-path simulation: one wide stepper, worker threads drawing its increments.
+"""Multi-path simulation: one wide stepper, drawer processes filling its increments ahead.
 
 The paths of a run are stepped as the lanes of one array, a window of up to
 ``WINDOW_SEGMENTS`` segments of ``chunk_paths`` paths at a time, and time
 advances in blocks of ``BLOCK_STEPS`` steps.  A path may have a lane per
 truncation radius, MTEM beside plain EM say, all reading its increments,
-drawn once.  For each block every worker
-thread draws the Brownian increments of the segments it owns, then waits at
-one barrier; the last thread to arrive steps every lane through the block
-as the barrier's action, before any thread is released.  So drawing and
-stepping never overlap: a step is a few dozen numpy calls, each of which
-gives up the GIL and takes it back, and a drawing thread that takes it in
-between slows the stepping thread more than its draws save.  Memory is
-bounded by the window times the block, not by the number of steps.
+drawn once.  With two workers or more, forked child processes draw block
+k + 1 into one half of a shared buffer while this process steps every lane
+through block k in the other.  No draw runs in this interpreter while a
+block is stepped: a step is a few dozen numpy calls, each of which gives up
+the GIL, and a drawing thread that takes it in between slows the step more
+than its draws save.  Memory is bounded by the window times the block.
 
 Moment sums are reduced per segment at every step with a fixed operation
 order, and merged segment by segment in path order with compensated
@@ -22,9 +20,17 @@ window.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import math
+import mmap
+import os
+import pickle
+import signal
+import struct
 import threading
+import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -37,16 +43,15 @@ from .truncation import UNTRUNCATED
 
 __all__ = ["CHUNK_PATHS", "Lanes", "RunResult", "run_paths", "step_paths"]
 
-# Fixed segment width: the unit of the moment reductions and of the work a
-# drawing thread owns.  Must not depend on the worker count or reductions
-# would change with it.
+# Fixed segment width: the unit of the moment reductions and of the work a drawer
+# owns.  Must not depend on the worker count or reductions would change with it.
 CHUNK_PATHS = 512
 
-# Steps drawn and stepped per block, and segments stepped as one array.
-# Neither changes an output byte; together they bound the increment buffer.
-BLOCK_STEPS = 512
+# Steps drawn and stepped per block, and segments stepped as one array.  Neither
+# changes an output byte; together they bound the two halves of the increment buffer.
+BLOCK_STEPS = 256
 WINDOW_SEGMENTS = 8
-# Fine normals a drawing thread scales and sums in one call: the draws of
+# Fine normals a drawer scales and sums in one call: the draws of
 # several paths, so that per-path numpy calls do not dominate at refinement 1.
 GROUP_NORMALS = 1 << 16
 
@@ -272,13 +277,14 @@ def run_paths(
     ``split`` gives one result per radius, byte for byte equal to a run under
     that radius alone.  Moment sums need a single radius.
 
-    The run uses ``min(workers, segments per window)`` threads, each in a copy
-    of the caller's context, so ``np.errstate`` holds in all of them.  For each
-    block thread ``rank`` draws segments ``rank``, ``rank + jobs``, ... of the
-    window from per-path generators that live as long as the window, then
-    waits at a barrier; the last thread to arrive steps all lanes.  The result
-    does not depend on ``workers``.  If a thread raises, the others are
-    released and the first error that is not ``BrokenBarrierError`` is re-raised.
+    With ``jobs = min(workers, segments per window) >= 2`` the run forks
+    ``jobs`` drawers, at most ``WINDOW_SEGMENTS`` (8); drawer ``rank`` owns
+    segments ``rank``, ``rank + jobs``, ... and keeps their generators.  Its
+    ``jobs`` threads, in copies of the caller's context, wait on their
+    drawers, then at a barrier whose action sends out block k + 1 and steps
+    block k; with one job, or no ``os.fork``, they draw between steps.  A
+    drawer's error is re-raised as its own type, or as a RuntimeError with
+    its traceback.  Every drawer is reaped before the call returns or raises.
     """
     if paths < 1:
         raise InputError(f"paths must be >= 1, got {paths}")
@@ -299,39 +305,50 @@ def run_paths(
     width = WINDOW_SEGMENTS * chunk_paths
     block = min(steps, BLOCK_STEPS)
     jobs = max(1, min(workers, -(-min(paths, width) // chunk_paths)))
-    increments = np.empty((block, min(paths, width)))  # step-major: a step reads one row
-    generators = [None] * increments.shape[1]  # one per lane of the current window
+    shape = (1 + (jobs > 1 and hasattr(os, "fork")), block, min(paths, width))  # halves; a step reads one row
+    halves = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)  # shared with drawers
+    generators = [None] * shape[2]  # one per lane of the current window
     scale = math.sqrt(delta / refinement)
     group = max(1, min(chunk_paths, GROUP_NORMALS // (block * refinement)))
+    scratch = [(np.empty(group * block * refinement), np.empty(group * block)) for _ in range(jobs)]
 
     def window(first: int) -> Lanes:
         return Lanes(model, radius, x0_row, delta, out, first, min(width, paths - first), moment_p=moment_p,
                      segment=chunk_paths, overflow_guard=overflow_guard, compensation=compensation)
 
-    # the cursor: only the barrier's action moves it, while every thread waits
-    start, k0, lanes = 0, 0, window(0)
+    # only the barrier's action moves the cursor (window start, first step) and the block in flight
+    at, lanes, inflight = (0, 0), window(0), None
+    pids, commands, replies = [], [], []  # the drawers and this process's ends of their pipes
+
+    def dispatch(target: tuple[int, int], half: int) -> None:
+        nonlocal inflight
+        inflight = target, half
+        for pipe in commands:
+            pipe.write(struct.pack("3q", *target, half))
 
     def step_block() -> None:
         """Step the drawn block through every lane of the window, then move the cursor on."""
-        nonlocal start, k0, lanes
-        b = min(block, steps - k0)
-        more = step_paths(lanes, increments[:b, : lanes.count].T)
-        k0 += b
-        if not more or k0 == steps:
-            start, k0 = start + width, 0
-            if start < paths:
-                lanes = window(start)
+        nonlocal at, lanes
+        (drawn, half), (start, k0) = inflight if pids else (at, 0), at
+        if drawn != at:  # every lane froze before the block drawn ahead: draw the one wanted
+            return dispatch(at, half)
+        ahead = (start, k0 + block) if k0 + block < steps else (start + width, 0)
+        if pids and ahead[0] < paths:
+            dispatch(ahead, 1 - half)  # the drawers fill the other half while this one is stepped
+        at = ahead if step_paths(lanes, halves[half, : steps - k0, : lanes.count].T) else (start + width, 0)
+        if at[1] == 0 and at[0] < paths:
+            lanes = window(at[0])
 
     barrier = threading.Barrier(jobs, action=step_block)
 
-    def draw(rank: int, fine_buf: np.ndarray, sum_buf: np.ndarray) -> None:
-        """Fill the block's increments of the segments thread ``rank`` owns.
+    def draw(rank: int, start: int, k0: int, half: int) -> None:
+        """Draw the segments ``rank`` owns of the block from step ``k0`` of window ``start`` into ``half``.
 
         ``group`` paths at a time: each path's fine normals come from its own
         generator, then the group is scaled, summed row by row (a row sum even
         at refinement 1, where it maps -0.0 to 0.0) and transposed into place.
         """
-        count, b = min(width, paths - start), min(block, steps - k0)
+        (fine_buf, sum_buf), count, b = scratch[rank], min(width, paths - start), min(block, steps - k0)
         for first in range(rank * chunk_paths, count, jobs * chunk_paths):
             end = min(first + chunk_paths, count)
             for lo in range(first, end, group):
@@ -344,29 +361,75 @@ def run_paths(
                 fine *= scale
                 summed = sum_buf[: n * b].reshape(n, b)
                 np.add.reduce(fine, axis=2, out=summed)
-                increments[:b, lo:lo + n] = summed.T
+                halves[half, :b, lo:lo + n] = summed.T
+
+    def serve(rank: int, command_fd: int, reply_fd: int) -> None:
+        """A drawer: draw each block it is sent and answer a pickled None or its error, until end of file."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's, which ends its drawers
+        for pipe in commands + replies:  # a sibling's end left open here would hide its end of file
+            pipe.close()
+        requests, answers = open(command_fd, "rb"), open(reply_fd, "wb")
+        while len(command := requests.read(24)) == 24:
+            try:
+                draw(rank, *struct.unpack("3q", command))
+                answer = pickle.dumps(None)
+            except BaseException as exc:  # noqa: BLE001 - handed to the parent
+                try:
+                    pickle.loads(answer := pickle.dumps(exc))
+                except Exception:  # noqa: BLE001 - it does not round-trip: send its traceback
+                    answer = pickle.dumps(RuntimeError("".join(traceback.format_exception(exc))))
+            answers.write(answer)
+            answers.flush()
 
     def job(rank: int) -> None:
-        fine_buf, sum_buf = np.empty(group * block * refinement), np.empty(group * block)
         try:
-            while start < paths:
-                draw(rank, fine_buf, sum_buf)
+            while at[0] < paths:
+                if not pids:
+                    draw(rank, *at, 0)
+                elif error := pickle.load(replies[rank]):  # blocks, GIL released, until the share is drawn
+                    raise error
                 barrier.wait()  # the last thread to arrive steps the block
         except BaseException:
             barrier.abort()  # release the other threads
             raise
 
-    if jobs == 1:
-        job(0)
-        return out
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        # a fresh copy per job: two threads cannot enter one context
-        futures = [pool.submit(contextvars.copy_context().run, job, rank) for rank in range(jobs)]
-        try:
-            wait(futures)
-        except BaseException:  # e.g. KeyboardInterrupt: stop the threads at their next barrier
-            barrier.abort()
-            raise
+    try:
+        for rank in range(jobs if shape[0] == 2 else 0):
+            (command_fd, command_w), (reply_r, reply_fd) = os.pipe(), os.pipe()
+            commands.append(open(command_w, "wb", buffering=0))
+            replies.append(open(reply_r, "rb"))
+            try:
+                if (pid := os.fork()) == 0:
+                    try:
+                        serve(rank, command_fd, reply_fd)
+                    finally:
+                        os._exit(0)  # no atexit handler, no second flush of inherited buffers
+                pids.append(pid)
+            finally:
+                for fd in (command_fd, reply_fd):
+                    os.close(fd)
+        dispatch(at, 0)
+        if jobs == 1:
+            job(0)
+            return out
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            # a fresh copy per job: two threads cannot enter one context
+            futures = [pool.submit(contextvars.copy_context().run, job, rank) for rank in range(jobs)]
+            try:
+                wait(futures)
+            except BaseException:  # e.g. KeyboardInterrupt: stop the threads at their next barrier
+                barrier.abort()
+                raise
+    finally:  # each drawer reads end of file and exits; one still drawing a second later is killed
+        for pipe in commands + replies:
+            pipe.close()
+        deadline = time.monotonic() + 1.0
+        for pid in pids:
+            with contextlib.suppress(ChildProcessError):  # reaped already, as where SIGCHLD is ignored
+                while not os.waitpid(pid, os.WNOHANG)[0]:
+                    if time.monotonic() > deadline:
+                        os.kill(pid, signal.SIGKILL)
+                    time.sleep(1e-3)
     errors = [e for e in (f.exception() for f in futures) if e is not None]
     if errors:
         raise next((e for e in errors if not isinstance(e, threading.BrokenBarrierError)), errors[0])

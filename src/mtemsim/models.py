@@ -57,7 +57,7 @@ class SdeModel:
     Instances are immutable and shared freely across threads; the callables
     must be pure and treat each row of a batch of states on its own.  Path
     simulation calls them from one thread at a time, on a window of paths
-    at once; its other worker threads only draw Brownian increments.
+    at once; its drawer processes only draw Brownian increments.
     """
 
     name: str

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 import mtemsim as m
@@ -11,3 +13,14 @@ def ex41():
 @pytest.fixture(scope="session")
 def ex41_policy():
     return m.example41_policy()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_process_outlives_the_tests():
+    """Fail the run if any child of the test process is left unreaped, running or not."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process outlived the tests (waitpid gave pid {pid}, status {status})")

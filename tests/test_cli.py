@@ -246,7 +246,7 @@ def test_compare_steps_both_schemes_in_one_run_drawing_each_path_once(tmp_path, 
 
     monkeypatch.setattr(cli, "run_paths", counted_run)
     monkeypatch.setattr(engine, "path_generator", counted_generator)
-    # 600 steps: two blocks, and each path's generator lives across both
+    # 600 steps: three blocks, and each path's generator lives across them
     config = parse_config(flags=dict(model="example41", delta="5e-4", steps="600", paths="40",
                                      seed="13", refinement="1", x0="3.0", out=str(tmp_path / "cmp")))
     assert run_command("compare", config, workers=2) == 0
@@ -274,3 +274,12 @@ def test_outputs_too_large_to_allocate_exit_2_without_traceback(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("memory error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "exponent", "compare"])
+@pytest.mark.parametrize("key", ["steps", "paths", "refinement"])
+def test_counts_beyond_int64_exit_2_naming_the_key(tmp_path, capsys, command, key):
+    # numpy refuses such a size with a ValueError; the config is refused first, before any allocation
+    assert main([command, f"--{key}", "99999999999999999999999", "--out", str(tmp_path / "big")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {key}: ") and err.count("\n") == 1

@@ -1,17 +1,21 @@
-"""Engine runs in which every path diverges, the engine's threading and its layout.
+"""Engine runs in which every path diverges, the engine's drawers and threads, and its layout.
 
 Once every lane of a window is frozen, the engine stops stepping it and fills
 the remaining moment sums from the last step.  The digest below pins the
 arrays of such runs to those of an engine that stepped frozen lanes to the
 horizon; it is checked only on the numpy version it was captured on.
 
-Worker threads draw each block's increments together, and one of them steps
-every lane.  Neither the worker count, the block length nor the window
-changes an output byte, and memory does not grow with the number of steps.
+From two workers on, forked drawer processes draw each block's increments
+while a thread of the caller's process steps every lane; no drawer outlives
+its run.  Neither the worker count, the block length nor the window changes
+an output byte, and memory does not grow with the number of steps.
 A run over several radii splits back into the runs under each radius alone.
 """
 
 import hashlib
+import mmap
+import os
+import signal
 import sys
 import threading
 import time
@@ -156,7 +160,7 @@ def _error_within(seconds, fn):
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-@pytest.mark.parametrize("failing_call", [30, 700])  # in the first block, in the second
+@pytest.mark.parametrize("failing_call", [30, 700])  # in the first block, in a later one
 def test_a_step_that_raises_reaches_the_caller_and_ends_every_thread(workers, failing_call):
     baseline = threading.active_count()
     model = SdeModel("boom", 1, _FailsOnCall(failing_call), lambda x: 0.5 * x, lambda r: 1.0 + 3.0 * r * r)
@@ -262,6 +266,7 @@ def test_run_memory_is_bounded_by_window_and_block_not_by_steps(workers):
 
 @pytest.mark.parametrize("workers", [2, 4])
 def test_no_draw_runs_while_a_block_is_stepped(workers, monkeypatch):
+    # checks the draws of this process: a drawer process has its own copy of ``stepping``
     stepping = threading.Event()
     step_paths, path_generator = engine.step_paths, engine.path_generator
 
@@ -293,7 +298,7 @@ def test_no_draw_runs_while_a_block_is_stepped(workers, monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("refinement", [3, 16])
 def test_a_single_path_equals_its_lane_at_every_refinement(refinement, workers):
-    # 1,100 steps: two full blocks and a ragged one; paths on both sides of a segment edge
+    # 1,100 steps: four full blocks and a ragged one; paths on both sides of a segment edge
     ex41 = m.example41()
     delta, steps, paths = 5e-4, 1100, 530
     radius = default_policy(ex41).radius(delta)
@@ -318,3 +323,84 @@ def test_the_callers_errstate_holds_on_every_worker_thread():
     assert single.diverged_paths == 40
     for got, want in zip(_arrays(pooled), _arrays(single)):
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_draws_run_in_drawer_processes_from_two_workers_on(workers, monkeypatch):
+    parent, seen = os.getpid(), mmap.mmap(-1, 2)  # shared: [a draw in this process, a draw in another]
+    path_generator = engine.path_generator
+
+    class Recorded:
+        def __init__(self, generator):
+            self.generator = generator
+
+        def standard_normal(self, **kwargs):
+            seen[os.getpid() != parent] = 1
+            return self.generator.standard_normal(**kwargs)
+
+    monkeypatch.setattr(engine, "path_generator", lambda seed, i: Recorded(path_generator(seed, i)))
+    run_paths(m.example41(), 1.5, 2.0, 1e-2, 40, 64, 3, 2, moment_p=0.5, chunk_paths=8, workers=workers)
+    assert seen[:] == (b"\x01\x00" if workers == 1 else b"\x00\x01")
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("ending", ["return", "draw raises", "step raises", "interrupt"])
+def test_no_drawer_outlives_its_run(workers, ending, monkeypatch):
+    baseline = threading.active_count()
+    step_paths, path_generator, steps = engine.step_paths, engine.path_generator, []
+
+    def step(lanes, coarse):
+        steps.append(coarse.shape)
+        if len(steps) == 2 and ending == "step raises":
+            raise _Boom("second block")
+        if len(steps) == 2 and ending == "interrupt":  # as Ctrl-C would, while the caller waits
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        return step_paths(lanes, coarse)
+
+    def generator(master_seed, path_index):
+        if path_index == 21 and ending == "draw raises":
+            raise _Boom("no generator for path 21")
+        return path_generator(master_seed, path_index)
+
+    monkeypatch.setattr(engine, "BLOCK_STEPS", 5)
+    monkeypatch.setattr(engine, "step_paths", step)
+    monkeypatch.setattr(engine, "path_generator", generator)
+    expected = {"draw raises": _Boom, "step raises": _Boom, "interrupt": KeyboardInterrupt}.get(ending)
+    try:
+        run_paths(m.example41(), 1.5, 2.0, 1e-2, 2000, 48, 5, 1, moment_p=0.5, chunk_paths=8, workers=workers)
+    except BaseException as exc:  # noqa: BLE001 - checked below
+        assert type(exc) is expected
+    else:
+        assert expected is None and len(steps) == 400
+    assert threading.active_count() == baseline
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _RaisesOnRebuild(Exception):
+    def __init__(self, path, reason):  # pickles, but cannot be rebuilt from its one-string args
+        super().__init__(f"path {path}: {reason}")
+
+
+def test_a_drawer_error_that_does_not_unpickle_arrives_with_its_traceback(monkeypatch):
+    def failing(master_seed, path_index):
+        raise _RaisesOnRebuild(path_index, "no generator")
+
+    monkeypatch.setattr(engine, "path_generator", failing)
+    with pytest.raises(RuntimeError, match=r"_RaisesOnRebuild: path \d+: no generator"):
+        run_paths(m.example41(), 1.5, 2.0, 1e-2, 20, 48, 5, 1, chunk_paths=8, workers=2)
+
+
+def test_a_caller_that_ignores_sigchld_still_gets_its_result():
+    # with SIGCHLD ignored the kernel reaps each drawer itself, and waitpid finds no child to wait for
+    def run(workers):
+        return run_paths(m.example41(), 1.5, 2.0, 1e-2, 600, 1024, 3, 1, moment_p=0.5, workers=workers)
+
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        pooled = run(2)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    single = run(1)
+    for name in ("moment_sum", "moment_sqsum", "alive"):
+        assert getattr(pooled, name).tobytes() == getattr(single, name).tobytes()
