@@ -3,12 +3,13 @@
 Every run writes a manifest alongside its CSV artifacts.  The manifest is
 itself a valid config file (comment lines carry the library version and the
 subcommand), so re-running the same subcommand with ``--config`` pointed at
-it reproduces the outputs byte for byte.  All floating-point CSV fields use
-17 significant digits; nothing in the outputs depends on time, locale, or
-worker count.
+it reproduces the outputs byte for byte.  Every CSV row is a whole line
+formatted with one ``%`` string per file: ``%.17g`` for floats (17
+significant digits), ``%d`` for counts, ``%s`` for names and verdicts.
+Nothing in the outputs depends on time, locale, or worker count.
 
 Exit codes: 0 success, 2 configuration error (also for outputs too large to
-allocate), 3 verification failure, 4 estimation failure.
+allocate or for numpy to index), 3 verification failure, 4 estimation failure.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .stability import fit_exponent, run_stability_mc, verify_lemma_global_lipsc
 from .truncation import default_policy, verify_step_condition
 
 __all__ = ["RunConfig", "parse_config", "run_command", "main"]
-
-SUBCOMMANDS = ("simulate", "exponent", "verify", "compare")
 
 # compare emits full side-by-side trajectories only for the first few paths;
 # divergence tallies always cover every path.
@@ -114,12 +113,10 @@ def _config_file_values(text: str) -> dict:
 
 
 def _validate(config: RunConfig) -> RunConfig:
-    if config.model not in MODEL_KEYS:
-        raise ConfigError(f"model: unknown key {config.model!r}; known: {', '.join(MODEL_KEYS)}")
-    if config.model == "linear" and (config.mu is None or config.sigma is None):
-        raise ConfigError("model: 'linear' requires mu and sigma")
-    if config.model == "example41" and (config.mu is not None or config.sigma is not None):
-        raise ConfigError("model: 'example41' takes no mu/sigma parameters")
+    try:
+        model = get_model(config.model, config.mu, config.sigma)
+    except InputError as exc:
+        raise ConfigError(f"model: {exc}") from None
     for key in ("mu", "sigma"):
         value = getattr(config, key)
         if value is not None and not math.isfinite(value):
@@ -142,13 +139,9 @@ def _validate(config: RunConfig) -> RunConfig:
         raise ConfigError(f"window: fractions must satisfy 0 <= lo < hi <= 1, got {lo}:{hi}")
     if not config.out:
         raise ConfigError("out: must be a non-empty path prefix")
-    if config.scheme == "mtem":
-        policy = default_policy(_build_model(config))
-        if config.delta > policy.delta_star:
-            raise ConfigError(
-                f"delta: {config.delta} exceeds the truncation policy's validity bound "
-                f"{policy.delta_star} for model {config.model!r}"
-            )
+    if config.scheme == "mtem" and config.delta > (bound := default_policy(model).delta_star):
+        raise ConfigError(f"delta: {config.delta} exceeds the truncation policy's validity bound "
+                          f"{bound} for model {config.model!r}")
     return config
 
 
@@ -161,34 +154,22 @@ def parse_config(text: str | None = None, flags: dict | None = None) -> RunConfi
     """
     values = dict(_config_file_values(text)) if text is not None else {}
     for key, raw in (flags or {}).items():
-        if raw is None:
-            continue
-        values[key] = _coerce(key, raw)
+        if raw is not None:
+            values[key] = _coerce(key, raw)
     return _validate(RunConfig(**values))
-
-
-def _build_model(config: RunConfig) -> SdeModel:
-    if config.model == "linear":
-        return get_model("linear", mu=config.mu, sigma=config.sigma)
-    return get_model(config.model)
 
 
 # --- deterministic output helpers -------------------------------------------
 
 
-def _f(value) -> str:
-    return format(float(value), ".17g")
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write the header, then each row: a list of fields, or a string of whole lines."""
+def _write_csv(path: str, header: list[str], lines) -> None:
+    """Write the header, then ``lines``: strings of whole lines."""
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(row if isinstance(row, str) else ",".join(row) + "\n")
+        fh.writelines(lines)
 
 
-def _manifest_lines(config: RunConfig, subcommand: str) -> list[str]:
+def _write_manifest(config: RunConfig, subcommand: str) -> None:
     lines = [f"# mtemsim {__version__}", f"# subcommand {subcommand}"]
     for key in _KEYS:
         value = getattr(config, key)
@@ -196,19 +177,14 @@ def _manifest_lines(config: RunConfig, subcommand: str) -> list[str]:
             lines.append(f"window={value[0]!r}:{value[1]!r}")
         elif value is not None:
             lines.append(f"{key}={value if isinstance(value, str) else repr(value)}")
-    return lines
-
-
-def _write_manifest(config: RunConfig, subcommand: str) -> None:
     with open(f"{config.out}_manifest.txt", "w", newline="\n") as fh:
-        fh.write("\n".join(_manifest_lines(config, subcommand)) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 # --- subcommands -------------------------------------------------------------
 
 
-def _cmd_simulate(config: RunConfig, workers: int) -> int:
-    model = _build_model(config)
+def _cmd_simulate(config: RunConfig, model: SdeModel, workers: int) -> int:
     radius = scheme_radius(model, default_policy(model), config.scheme, config.delta)
     result = run_paths(
         model, radius, config.x0, config.delta, config.steps, config.paths,
@@ -228,44 +204,37 @@ def _cmd_simulate(config: RunConfig, workers: int) -> int:
     return 0
 
 
-def _cmd_exponent(config: RunConfig, workers: int) -> int:
-    model = _build_model(config)
+def _cmd_exponent(config: RunConfig, model: SdeModel, workers: int) -> int:
     run = run_stability_mc(
         model, default_policy(model), config.scheme, config.p, config.x0, config.delta,
         config.steps, config.paths, config.seed,
         refinement=config.refinement, workers=workers,
     )
     est = run.moments
-    _write_csv(
-        f"{config.out}_moment.csv",
-        ["t", "moment", "stderr", "censored"],
-        (
-            [_f(est.times[k]), _f(est.means[k]), _f(est.stderrs[k]), str(est.paths - int(est.alive[k]))]
-            for k in range(est.times.size)
-        ),
-    )
+    columns = est.times.tolist(), est.means.tolist(), est.stderrs.tolist(), (est.paths - est.alive).tolist()
+    _write_csv(f"{config.out}_moment.csv", ["t", "moment", "stderr", "censored"],
+               ("%.17g,%.17g,%.17g,%d\n" % row for row in zip(*columns)))
     horizon = config.steps * config.delta
     window = (config.window[0] * horizon, config.window[1] * horizon)
     fit = fit_exponent(est, window)
     _write_csv(
         f"{config.out}_fit.csv",
         ["slope", "intercept", "window_lo", "window_hi", "r_squared", "censored", "diverged_paths"],
-        [[_f(fit.slope), _f(fit.intercept), _f(fit.window[0]), _f(fit.window[1]),
-          _f(fit.r_squared), str(fit.censored), str(est.diverged_paths)]],
+        ["%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n" % (
+            fit.slope, fit.intercept, *fit.window, fit.r_squared, fit.censored, est.diverged_paths)],
     )
     if horizon >= 1.0:
         pw = run.pathwise
         _write_csv(
             f"{config.out}_pathwise.csv",
             ["horizon", "paths", "diverged", "censored", "q05", "q50", "q95", "max"],
-            [[_f(pw.horizon), str(pw.paths), str(pw.diverged), str(pw.censored),
-              _f(pw.q05), _f(pw.q50), _f(pw.q95), _f(pw.max_exponent)]],
+            ["%.17g,%d,%d,%d,%.17g,%.17g,%.17g,%.17g\n" % (
+                pw.horizon, pw.paths, pw.diverged, pw.censored, pw.q05, pw.q50, pw.q95, pw.max_exponent)],
         )
     return 0
 
 
-def _cmd_verify(config: RunConfig, workers: int) -> int:
-    model = _build_model(config)
+def _cmd_verify(config: RunConfig, model: SdeModel, workers: int) -> int:
     policy = default_policy(model)
     h = policy.radius(config.delta)
 
@@ -275,7 +244,7 @@ def _cmd_verify(config: RunConfig, workers: int) -> int:
     _write_csv(
         f"{config.out}_step_condition.csv",
         ["delta", "h", "L_h", "product", "verdict"],
-        ([_f(r.delta), _f(r.h), _f(r.lipschitz_at_h), _f(r.product), step_verdict]
+        ("%.17g,%.17g,%.17g,%.17g,%s\n" % (r.delta, r.h, r.lipschitz_at_h, r.product, step_verdict)
          for r in step_report.rows),
     )
 
@@ -283,25 +252,23 @@ def _cmd_verify(config: RunConfig, workers: int) -> int:
     lip = verify_lemma_global_lipschitz(model, h, trials=_LEMMA_TRIALS, seed=config.seed)
     lam_plan = SamplingPlan(r_min=h / 100.0, r_max=100.0 * h, seed=config.seed)
     preserved = verify_lemma_lambda_preserved(model, h, config.p, lam_hat, lam_plan)
+    drift, diffusion, lam = ("pass" if ok else "fail" for ok in (lip.drift_passed, lip.diffusion_passed,
+                                                                   preserved.passed))
+    _write_csv(
+        f"{config.out}_lemmas.csv",
+        ["check", "value", "bound", "verdict"],
+        ["global_lipschitz_drift,%.17g,%.17g,%s\n"
+         "global_lipschitz_diffusion,%.17g,%.17g,%s\n"
+         "lambda_preserved,%.17g,%.17g,%s\n"
+         "lambda_estimate,%.17g,,info\n"
+         "step_condition_monotone,,,%s\n" % (
+             lip.max_ratio_drift, lip.bound, drift, lip.max_ratio_diffusion, lip.bound, diffusion,
+             preserved.supremum, -preserved.lam + preserved.tolerance, lam, lam_hat, step_verdict)],
+    )
+    return 0 if step_report.passed and lip.passed and preserved.passed else 3
 
-    rows = [
-        ["global_lipschitz_drift", _f(lip.max_ratio_drift), _f(lip.bound),
-         "pass" if lip.drift_passed else "fail"],
-        ["global_lipschitz_diffusion", _f(lip.max_ratio_diffusion), _f(lip.bound),
-         "pass" if lip.diffusion_passed else "fail"],
-        ["lambda_preserved", _f(preserved.supremum), _f(-preserved.lam + preserved.tolerance),
-         "pass" if preserved.passed else "fail"],
-        ["lambda_estimate", _f(lam_hat), "", "info"],
-        ["step_condition_monotone", "", "", step_verdict],
-    ]
-    _write_csv(f"{config.out}_lemmas.csv", ["check", "value", "bound", "verdict"], rows)
 
-    all_passed = step_report.passed and lip.passed and preserved.passed
-    return 0 if all_passed else 3
-
-
-def _cmd_compare(config: RunConfig, workers: int) -> int:
-    model = _build_model(config)
+def _cmd_compare(config: RunConfig, model: SdeModel, workers: int) -> int:
     radius = default_policy(model).radius(config.delta)
     # one run, a lane per scheme on each path drawn once; tallies cover every path, the CSV a few
     n_show = min(config.paths, COMPARE_TRAJECTORY_PATHS)
@@ -328,25 +295,28 @@ def _cmd_compare(config: RunConfig, workers: int) -> int:
     _write_csv(
         f"{config.out}_tallies.csv",
         ["scheme", "paths", "diverged", "divergence_fraction"],
-        [[name, str(config.paths), str(r.diverged_paths), _f(r.diverged_paths / config.paths)]
+        ["%s,%d,%d,%.17g\n" % (name, config.paths, r.diverged_paths, r.diverged_paths / config.paths)
          for name, r in zip(("mtem", "em"), schemes)],
     )
     return 0
 
 
+# Every subcommand: its runner and its --help text.
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "exponent": _cmd_exponent,
-    "verify": _cmd_verify,
-    "compare": _cmd_compare,
+    "simulate": (_cmd_simulate, "write per-path trajectories as CSV"),
+    "exponent": (_cmd_exponent, "estimate the moment curve, fitted exponent, and pathwise exponents"),
+    "verify": (_cmd_verify, "run the step-condition and lemma verifiers"),
+    "compare": (_cmd_compare, "run mtem and em on identical Brownian paths"),
 }
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def run_command(subcommand: str, config: RunConfig, workers: int = 1) -> int:
     """Execute a subcommand; writes its CSV artifacts plus a run manifest."""
     if subcommand not in _COMMANDS:
         raise InputError(f"unknown subcommand {subcommand!r}; expected one of {SUBCOMMANDS}")
-    status = _COMMANDS[subcommand](config, workers)
+    model = get_model(config.model, config.mu, config.sigma)
+    status = _COMMANDS[subcommand][0](config, model, workers)
     _write_manifest(config, subcommand)
     return status
 
@@ -357,12 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate and verify the truncated-coefficient explicit Euler scheme.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("simulate", "write per-path trajectories as CSV"),
-        ("exponent", "estimate the moment curve, fitted exponent, and pathwise exponents"),
-        ("verify", "run the step-condition and lemma verifiers"),
-        ("compare", "run mtem and em on identical Brownian paths"),
-    ):
+    for name, (_, text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", help="key=value config file; flags override it")
         for key, (_, text) in _KEYS.items():

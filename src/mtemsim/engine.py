@@ -285,6 +285,7 @@ def run_paths(
     block k; with one job, or no ``os.fork``, they draw between steps.  A
     drawer's error is re-raised as its own type, or as a RuntimeError with
     its traceback.  Every drawer is reaped before the call returns or raises.
+    A size numpy cannot index raises MemoryError before anything is allocated.
     """
     if paths < 1:
         raise InputError(f"paths must be >= 1, got {paths}")
@@ -298,18 +299,23 @@ def run_paths(
     if copies != 1 and (copies == 0 or moment_p is not None):
         raise InputError("give a radius, and a single one for moment sums")
     x0_row = as_state(model, x0)
-    out = RunResult.empty(copies * paths, steps, delta, model.dimension, moments=moment_p is not None,
-                          want_terminal=want_terminal, record_paths=copies * min(record_paths, paths))
-    compensation = (np.zeros(steps + 1), np.zeros(steps + 1)) if moment_p is not None else None
-
     width = WINDOW_SEGMENTS * chunk_paths
     block = min(steps, BLOCK_STEPS)
     jobs = max(1, min(workers, -(-min(paths, width) // chunk_paths)))
     shape = (1 + (jobs > 1 and hasattr(os, "fork")), block, min(paths, width))  # halves; a step reads one row
+    group = max(1, min(chunk_paths, GROUP_NORMALS // (block * refinement)))
+    recorded = copies * min(record_paths, paths)
+    # numpy refuses, with a ValueError, an array of more bytes than an intp counts: refuse it first
+    for n in (copies * paths, steps + 1 if moment_p is not None else 0, recorded * (steps + 1) * model.dimension,
+              math.prod(shape), group * block * refinement):
+        if 8 * n > np.iinfo(np.intp).max:
+            raise MemoryError(f"an array of {n} 8-byte values is more than numpy can index")
+    out = RunResult.empty(copies * paths, steps, delta, model.dimension, moments=moment_p is not None,
+                          want_terminal=want_terminal, record_paths=recorded)
+    compensation = (np.zeros(steps + 1), np.zeros(steps + 1)) if moment_p is not None else None
     halves = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)  # shared with drawers
     generators = [None] * shape[2]  # one per lane of the current window
     scale = math.sqrt(delta / refinement)
-    group = max(1, min(chunk_paths, GROUP_NORMALS // (block * refinement)))
     scratch = [(np.empty(group * block * refinement), np.empty(group * block)) for _ in range(jobs)]
 
     def window(first: int) -> Lanes:

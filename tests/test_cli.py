@@ -259,7 +259,7 @@ def test_compare_steps_both_schemes_in_one_run_drawing_each_path_once(tmp_path, 
     1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, 5e-4 * 1999,
 ])
 def test_percent_formatting_equals_format_builtin(value):
-    # the CSV rows are "%.17g" % row; the other fields use format(float(v), ".17g")
+    # every CSV float field is "%.17g" % v, the same text as format(float(v), ".17g")
     assert "%.17g" % value == format(float(value), ".17g")
     assert "%.17g" % np.float64(value).tolist() == format(np.float64(value), ".17g")
 
@@ -267,6 +267,9 @@ def test_percent_formatting_equals_format_builtin(value):
 @pytest.mark.parametrize("argv", [
     ["exponent", "--model", "example41", "--delta", "5e-4", "--steps", "10000000000000", "--paths", "4"],
     ["compare", "--steps", "100000000000"],
+    ["exponent", "--steps", "9223372036854775807"],
+    ["compare", "--paths", "9223372036854775807"],
+    ["simulate", "--refinement", "4611686018427387904", "--steps", "10", "--paths", "2"],
 ])
 def test_outputs_too_large_to_allocate_exit_2_without_traceback(tmp_path, capsys, argv):
     # the result arrays (72.8 TiB and 5.8 TiB) are refused at once, before any step
@@ -283,3 +286,27 @@ def test_counts_beyond_int64_exit_2_naming_the_key(tmp_path, capsys, command, ke
     assert main([command, f"--{key}", "99999999999999999999999", "--out", str(tmp_path / "big")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {key}: ") and err.count("\n") == 1
+
+
+# values of every configuration key, one per kind
+_KINDS = ("huge", "zero", "negative", "nan", "inf", "non-numeric")
+_INT = ("1" + "0" * 30, "0", "-1", "nan", "inf", "ten")
+_FLOAT = ("1e300", "0", "-1", "nan", "inf", "ten")
+_TEXT = ("x" * 1000, "0", "-1", "nan", "inf", "ten")
+_HOSTILE = {
+    "model": _TEXT, "mu": _FLOAT, "sigma": _FLOAT, "scheme": _TEXT, "p": _FLOAT, "delta": _FLOAT,
+    "steps": _INT, "paths": _INT, "seed": _INT, "refinement": _INT, "x0": _FLOAT,
+    "window": ("0:1e300", "0:0", "-1:1", "nan:1", "0:inf", "lo:hi"), "out": _TEXT,
+}
+
+
+@pytest.mark.parametrize("key,value", [pytest.param(key, value, id=f"{key}-{kind}")
+                                       for key, values in _HOSTILE.items() for kind, value in zip(_KINDS, values)])
+def test_hostile_values_of_every_key_exit_with_a_documented_code(tmp_path, monkeypatch, capsys, key, value):
+    assert list(_HOSTILE) == list(cli._KEYS)
+    monkeypatch.chdir(tmp_path)  # out values become file names
+    argv = ["simulate", "--steps", "20", "--paths", "2", "--refinement", "1"]
+    if key in ("mu", "sigma"):  # only the linear model reads them
+        argv += ["--model", "linear", "--mu", "-1", "--sigma", "0.5"]
+    assert main([*argv, f"--{key}={value}"]) in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err

@@ -7,8 +7,9 @@ horizon; it is checked only on the numpy version it was captured on.
 
 From two workers on, forked drawer processes draw each block's increments
 while a thread of the caller's process steps every lane; no drawer outlives
-its run.  Neither the worker count, the block length nor the window changes
-an output byte, and memory does not grow with the number of steps.
+its run.  Without ``os.fork`` the threads draw in turn, to the same bytes.
+Neither the worker count, the block length nor the window changes an output
+byte, and memory does not grow with the number of steps.
 A run over several radii splits back into the runs under each radius alone.
 """
 
@@ -404,3 +405,36 @@ def test_a_caller_that_ignores_sigchld_still_gets_its_result():
     single = run(1)
     for name in ("moment_sum", "moment_sqsum", "alive"):
         assert getattr(pooled, name).tobytes() == getattr(single, name).tobytes()
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_without_fork_the_threads_draw_the_same_bytes(workers, monkeypatch):
+    # em from x0 = 3 loses some paths; 100 paths make windows of 32, 32, 32 and 4, 60 steps blocks of 7 and a 4
+    baseline, parent, drawn_in = threading.active_count(), os.getpid(), set()
+    path_generator = engine.path_generator
+
+    class Recorded:
+        def __init__(self, generator):
+            self.generator = generator
+
+        def standard_normal(self, **kwargs):
+            drawn_in.add(os.getpid())
+            return self.generator.standard_normal(**kwargs)
+
+    def run(workers):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run_paths(m.example41(), np.inf, 3.0, 5e-3, 60, 100, 13, 2, moment_p=0.5, want_terminal=True,
+                             record_paths=40, chunk_paths=8, workers=workers)
+
+    monkeypatch.setattr(engine, "BLOCK_STEPS", 7)
+    monkeypatch.setattr(engine, "WINDOW_SEGMENTS", 4)
+    expected = run(1)
+    assert 0 < expected.diverged_paths < 100
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(engine, "path_generator", lambda seed, i: Recorded(path_generator(seed, i)))
+    for got, want in zip(_arrays(run(workers)), _arrays(expected)):
+        assert got.tobytes() == want.tobytes()
+    assert drawn_in == {parent}
+    assert threading.active_count() == baseline
+    with pytest.raises(ChildProcessError):  # no child was started
+        os.waitpid(-1, os.WNOHANG)
