@@ -21,14 +21,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .engine import run_paths
-from .errors import (
-    BracketError,
-    ConfigError,
-    DomainError,
-    EstimationError,
-    EvaluationError,
-    InputError,
-)
+from .errors import BracketError, ConfigError, DomainError, EstimationError, EvaluationError, InputError
 from .models import MODEL_KEYS, SamplingPlan, SdeModel, estimate_lambda, get_model
 from .schemes import SCHEMES, scheme_radius
 from .stability import fit_exponent, run_stability_mc, verify_lemma_global_lipschitz, verify_lemma_lambda_preserved
@@ -250,8 +243,7 @@ def _cmd_verify(config: RunConfig, model: SdeModel, workers: int) -> int:
 
     lam_hat = estimate_lambda(model, config.p, SamplingPlan(seed=config.seed))
     lip = verify_lemma_global_lipschitz(model, h, trials=_LEMMA_TRIALS, seed=config.seed)
-    lam_plan = SamplingPlan(r_min=h / 100.0, r_max=100.0 * h, seed=config.seed)
-    preserved = verify_lemma_lambda_preserved(model, h, config.p, lam_hat, lam_plan)
+    preserved = verify_lemma_lambda_preserved(model, h, config.p, lam_hat, seed=config.seed)
     drift, diffusion, lam = ("pass" if ok else "fail" for ok in (lip.drift_passed, lip.diffusion_passed,
                                                                    preserved.passed))
     _write_csv(

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import InputError
 from .models import SdeModel, as_state, state_norms
 from .schemes import OVERFLOW_GUARD, advance_states, path_generator
-from .truncation import UNTRUNCATED
+from .truncation import UNTRUNCATED, resolve_radius
 
 __all__ = ["CHUNK_PATHS", "Lanes", "RunResult", "run_paths", "step_paths"]
 
@@ -271,7 +271,7 @@ def run_paths(
     terminal state norms; ``record_paths`` keeps the full trajectories of
     that many leading paths (memory scales with record_paths * steps).
 
-    ``radius`` is one truncation radius (+inf for none) or several, which
+    ``radius`` is one truncation radius > 0 (+inf for none) or several, which
     step each path as lanes of one run, sharing its increments, drawn once.
     The result then holds ``len(radius) * paths`` lanes, radius-major, and
     ``split`` gives one result per radius, byte for byte equal to a run under
@@ -298,6 +298,7 @@ def run_paths(
     copies = np.size(radius)
     if copies != 1 and (copies == 0 or moment_p is not None):
         raise InputError("give a radius, and a single one for moment sums")
+    radius = np.array([resolve_radius(r) for r in np.ravel(radius)])  # each one positive, +inf for none
     x0_row = as_state(model, x0)
     width = WINDOW_SEGMENTS * chunk_paths
     block = min(steps, BLOCK_STEPS)

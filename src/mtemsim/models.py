@@ -185,6 +185,16 @@ def stability_functional(model: SdeModel, p: float, x) -> float:
     return float(functional_values(xs, f_vals, g_vals, p))
 
 
+def _gaussian_directions(rng, count: int, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` standard-normal rows and their norms; a zero row becomes the first unit vector."""
+    rows = rng.standard_normal((count, dimension))
+    norms = state_norms(rows)
+    degenerate = norms == 0.0
+    rows[degenerate] = 0.0
+    rows[degenerate, 0] = norms[degenerate] = 1.0
+    return rows, norms
+
+
 def sample_states(plan: SamplingPlan, dimension: int) -> np.ndarray:
     """Materialize the plan's sample points, shape (n_points, dimension)."""
     decades = np.log10(plan.r_max / plan.r_min)
@@ -194,27 +204,24 @@ def sample_states(plan: SamplingPlan, dimension: int) -> np.ndarray:
     points = np.empty((n_radii * n_dir, dimension))
     for i, r in enumerate(radii):
         seq = np.random.SeedSequence(entropy=plan.seed, spawn_key=(i,))
-        rng = np.random.Generator(np.random.Philox(seq))
-        vecs = rng.standard_normal((n_dir, dimension))
-        norms = np.sqrt(np.einsum("ij,ij->i", vecs, vecs))
-        degenerate = norms == 0.0
-        if np.any(degenerate):
-            vecs[degenerate] = 0.0
-            vecs[degenerate, 0] = 1.0
-            norms[degenerate] = 1.0
-        points[i * n_dir : (i + 1) * n_dir] = (r / norms)[:, None] * vecs
+        rows, norms = _gaussian_directions(np.random.Generator(np.random.Philox(seq)), n_dir, dimension)
+        points[i * n_dir : (i + 1) * n_dir] = (r / norms)[:, None] * rows
     return points
 
 
-def _functional_supremum(model: SdeModel, p: float, plan: SamplingPlan) -> float:
-    points = sample_states(plan, model.dimension)
-    f_vals = np.asarray(model.drift(points), dtype=float)
-    g_vals = np.asarray(model.diffusion(points), dtype=float)
+def _sampled_functional(points: np.ndarray, f_vals: np.ndarray, g_vals: np.ndarray, p: float) -> np.ndarray:
+    """``functional_values`` at sampled points; ``EvaluationError`` at the first point where it is not finite."""
     values = functional_values(points, f_vals, g_vals, p)
     if not np.all(np.isfinite(values)):
-        bad = points[~np.isfinite(values)][0]
-        raise EvaluationError(f"stability functional is not finite at x = {bad!r}")
-    return float(np.max(values))
+        raise EvaluationError(f"stability functional is not finite at x = {points[~np.isfinite(values)][0]!r}")
+    return values
+
+
+def _functional_supremum(model: SdeModel, p: float, plan: SamplingPlan | None) -> float:
+    points = sample_states(plan if plan is not None else SamplingPlan(), model.dimension)
+    f_vals = np.asarray(model.drift(points), dtype=float)
+    g_vals = np.asarray(model.diffusion(points), dtype=float)
+    return float(np.max(_sampled_functional(points, f_vals, g_vals, p)))
 
 
 def estimate_lambda(model: SdeModel, p: float, plan: SamplingPlan | None = None) -> float:
@@ -228,7 +235,6 @@ def estimate_lambda(model: SdeModel, p: float, plan: SamplingPlan | None = None)
     cover radii in [1e-3, 1e3].
     """
     _check_moment_order(p)
-    plan = plan if plan is not None else SamplingPlan()
     return -_functional_supremum(model, p, plan)
 
 
@@ -238,7 +244,6 @@ def cross_check_lambda(model: SdeModel, params: StabilityParams, plan: SamplingP
     Returns the sampled supremum and warns if it exceeds ``-params.lam`` by
     more than 1e-6, which means the asserted rate is too optimistic.
     """
-    plan = plan if plan is not None else SamplingPlan()
     sup = _functional_supremum(model, params.p, plan)
     if sup > -params.lam + 1e-6:
         warnings.warn(

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CHUNK_PATHS, run_paths
+from .engine import run_paths
 from .errors import EstimationError, InputError
-from .models import SdeModel, SamplingPlan, _check_moment_order, functional_values, sample_states, state_norms
-from .schemes import OVERFLOW_GUARD, scheme_radius
+from .models import (SamplingPlan, SdeModel, _check_moment_order, _gaussian_directions, _sampled_functional,
+                     sample_states, state_norms)
+from .schemes import scheme_radius
 from .truncation import truncated_batch
 
 __all__ = [
@@ -111,15 +112,15 @@ def _moment_estimate(result, p: float) -> MomentEstimate:
     return MomentEstimate(times, means, stderrs, alive.copy(), result.paths, p, result.diverged_paths)
 
 
-def _pathwise_summary(result, floor: float) -> PathwiseExponentSummary:
+def _pathwise_summary(result) -> PathwiseExponentSummary:
     horizon = result.steps * result.delta
     valid = result.first_divergence < 0
     diverged = result.paths - int(np.count_nonzero(valid))
     terminal = result.terminal_norm[valid]
     if terminal.size == 0:
         raise EstimationError("all paths diverged before the horizon; no pathwise exponents")
-    censored = int(np.count_nonzero(terminal <= floor))
-    gammas = np.log(np.maximum(terminal, floor)) / horizon
+    censored = int(np.count_nonzero(terminal <= UNDERFLOW_FLOOR))
+    gammas = np.log(np.maximum(terminal, UNDERFLOW_FLOOR)) / horizon
     q05, q50, q95 = np.quantile(gammas, [0.05, 0.50, 0.95])
     return PathwiseExponentSummary(
         horizon, result.paths, diverged, censored,
@@ -127,18 +128,13 @@ def _pathwise_summary(result, floor: float) -> PathwiseExponentSummary:
     )
 
 
-def _run(model, policy_or_radius, scheme, x0, delta, steps, paths, seed, **kwargs):
-    """Resolve the scheme's truncation radius and run the paths."""
-    return run_paths(model, scheme_radius(model, policy_or_radius, scheme, delta), x0, delta, steps, paths, seed,
-                     **kwargs)
-
-
 def _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, **kwargs):
     """Validate a moment run and step it with per-step |X_k|^p sums switched on."""
     if paths < 2:
         raise InputError(f"at least 2 paths are required, got {paths}")
     _check_moment_order(p)
-    return _run(model, policy_or_radius, scheme, x0, delta, steps, paths, seed, moment_p=p, **kwargs)
+    radius = scheme_radius(model, policy_or_radius, scheme, delta)
+    return run_paths(model, radius, x0, delta, steps, paths, seed, moment_p=p, **kwargs)
 
 
 def run_stability_mc(
@@ -151,19 +147,16 @@ def run_stability_mc(
     steps: int,
     paths: int,
     seed: int,
-    *,
-    refinement: int = 1,
-    workers: int = 1,
-    overflow_guard: float = OVERFLOW_GUARD,
-    floor: float = UNDERFLOW_FLOOR,
-    chunk_paths: int = CHUNK_PATHS,
+    **kwargs,
 ) -> StabilityRun:
-    """One Monte Carlo pass yielding both the moment curve and the pathwise summary."""
-    result = _moment_run(
-        model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, refinement=refinement,
-        want_terminal=True, overflow_guard=overflow_guard, workers=workers, chunk_paths=chunk_paths,
-    )
-    return StabilityRun(_moment_estimate(result, p), _pathwise_summary(result, floor))
+    """One Monte Carlo pass yielding both the moment curve and the pathwise summary.
+
+    Keywords (``refinement``, ``workers``, ...) go to ``run_paths``.  Terminal
+    norms at or below ``UNDERFLOW_FLOOR`` are floored there and counted as censored.
+    """
+    result = _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, want_terminal=True,
+                         **kwargs)
+    return StabilityRun(_moment_estimate(result, p), _pathwise_summary(result))
 
 
 def estimate_moment_curve(
@@ -192,14 +185,13 @@ def estimate_as_exponent(
     paths: int,
     seed: int,
     scheme: str = "mtem",
-    floor: float = UNDERFLOW_FLOOR,
     **kwargs,
 ) -> PathwiseExponentSummary:
     """Per-path decay exponents at the terminal time, with quantiles and max."""
     if steps * delta < 1.0:
         raise InputError(f"terminal time {steps * delta} must be >= 1 for a pathwise exponent")
-    result = _run(model, policy_or_radius, scheme, x0, delta, steps, paths, seed, want_terminal=True, **kwargs)
-    return _pathwise_summary(result, floor)
+    radius = scheme_radius(model, policy_or_radius, scheme, delta)
+    return _pathwise_summary(run_paths(model, radius, x0, delta, steps, paths, seed, want_terminal=True, **kwargs))
 
 
 def fit_exponent(estimate: MomentEstimate, window: tuple[float, float], floor: float = UNDERFLOW_FLOOR) -> ExponentFit:
@@ -279,17 +271,9 @@ class GlobalLipschitzReport:
 
 
 def _pair_block(rng, model, r_first, r_second):
-    n = r_first.size
-    d = model.dimension
-    u = rng.standard_normal((2 * n, d))
-    norms = state_norms(u)
-    degenerate = norms == 0.0
-    if np.any(degenerate):
-        u[degenerate] = 0.0
-        u[degenerate, 0] = 1.0
-        norms[degenerate] = 1.0
-    u /= norms[:, None]
-    return r_first[:, None] * u[:n], r_second[:, None] * u[n:]
+    rows, norms = _gaussian_directions(rng, 2 * r_first.size, model.dimension)
+    first, second = np.split(rows / norms[:, None], 2)
+    return r_first[:, None] * first, r_second[:, None] * second
 
 
 def verify_lemma_global_lipschitz(
@@ -312,8 +296,8 @@ def verify_lemma_global_lipschitz(
     if not radius_multiple > 1.0:
         raise InputError(f"radius_multiple must exceed 1, got {radius_multiple}")
     h = float(radius)
-    if not h > 0.0:
-        raise InputError(f"radius must be positive, got {radius}")
+    if not 0.0 < h < np.inf:
+        raise InputError(f"radius must be positive and finite, got {radius}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     n_inside = trials // 3
     n_outside = trials // 3
@@ -362,30 +346,24 @@ def verify_lemma_lambda_preserved(
     radius: float,
     p: float,
     lam: float,
-    plan: SamplingPlan | None = None,
+    seed: int = 0,
     tolerance: float = 1e-6,
 ) -> LambdaPreservationReport:
     """Sample the stability functional of the truncated coefficients.
 
-    Radii default to [h/100, 100 h], spanning both sides of the truncation
-    ball.  The verdict passes when the sampled supremum stays at or below
-    -lam + tolerance, i.e. truncation preserved the asserted decay rate.
+    The states are those of ``SamplingPlan(r_min=h / 100, r_max=100 h,
+    seed=seed)``, spanning both sides of the truncation ball.  The verdict
+    passes when the sampled supremum stays at or below -lam + tolerance,
+    i.e. truncation preserved the asserted decay rate.  A sampled value that
+    is not finite raises ``EvaluationError``.
     """
     h = float(radius)
-    if not h > 0.0:
-        raise InputError(f"radius must be positive, got {radius}")
+    if not 0.0 < h < np.inf:
+        raise InputError(f"radius must be positive and finite, got {radius}")
     _check_moment_order(p)
-    if plan is None:
-        plan = SamplingPlan(r_min=h / 100.0, r_max=100.0 * h)
-    points = sample_states(plan, model.dimension)
-    f_vals = truncated_batch(model.drift, points, h)
-    g_vals = truncated_batch(model.diffusion, points, h)
-    values = functional_values(points, f_vals, g_vals, p)
-    if not np.all(np.isfinite(values)):
-        bad = points[~np.isfinite(values)][0]
-        raise EstimationError(f"truncated stability functional is not finite at x = {bad!r}")
+    points = sample_states(SamplingPlan(r_min=h / 100.0, r_max=100.0 * h, seed=seed), model.dimension)
+    values = _sampled_functional(points, truncated_batch(model.drift, points, h),
+                                 truncated_batch(model.diffusion, points, h), p)
     sup = float(np.max(values))
-    passed = sup <= -lam + tolerance
-    return LambdaPreservationReport(
-        h, p, float(lam), sup, float(np.min(values)), int(values.size), tolerance, passed,
-    )
+    return LambdaPreservationReport(h, p, float(lam), sup, float(np.min(values)), int(values.size), tolerance,
+                                    sup <= -lam + tolerance)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -310,3 +313,11 @@ def test_hostile_values_of_every_key_exit_with_a_documented_code(tmp_path, monke
         argv += ["--model", "linear", "--mu", "-1", "--sigma", "0.5"]
     assert main([*argv, f"--{key}={value}"]) in (0, 2, 3, 4)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_python_dash_m_mtemsim_runs_the_cli_cleanly(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(m.__file__).resolve().parents[1])}
+    argv = ["simulate", "--steps", "20", "--paths", "2", "--refinement", "1", "--out", str(tmp_path / "s")]
+    done = subprocess.run([sys.executable, "-m", "mtemsim", *argv], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "s_paths.csv").exists()

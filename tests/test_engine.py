@@ -250,6 +250,15 @@ def test_several_radii_refuse_moment_sums():
         run_paths(m.example41(), (1.5, np.inf), 2.0, 5e-3, 10, 4, 1, moment_p=0.5)
 
 
+@pytest.mark.parametrize("radius", [-1.0, np.nan, 0.0, (1.5, -2.0), (1.5, np.nan)],
+                         ids=["negative", "nan", "zero", "lane-negative", "lane-nan"])
+def test_a_radius_that_is_not_positive_is_refused_before_any_drawer_starts(radius):
+    with pytest.raises(InputError, match="radius must be positive"):
+        run_paths(m.example41(), radius, 2.0, 5e-4, 20, 4, 1, chunk_paths=2, workers=2)
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_memory_is_bounded_by_window_and_block_not_by_steps(workers):
     ex41 = m.example41()

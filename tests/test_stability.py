@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import mtemsim as m
-from mtemsim.errors import EstimationError, InputError
+from mtemsim.errors import EstimationError, EvaluationError, InputError
+from mtemsim.models import SamplingPlan, functional_values, sample_states
 from mtemsim.stability import MomentEstimate, UNDERFLOW_FLOOR
+from mtemsim.truncation import truncated_batch
 
 
 def test_moment_curve_zero_start_is_zero(ex41, ex41_policy):
@@ -209,6 +211,31 @@ def test_lemma_lambda_preserved_cases(ex41):
     overstated = m.verify_lemma_lambda_preserved(linear, 3.0, 0.5, 2.0)
     assert not overstated.passed
     assert overstated.supremum == pytest.approx(-1.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("verify", [
+    lambda model: m.verify_lemma_global_lipschitz(model, math.inf),
+    lambda model: m.verify_lemma_lambda_preserved(model, math.inf, 0.5, 1.0),
+], ids=["global_lipschitz", "lambda_preserved"])
+def test_the_verifiers_refuse_an_infinite_radius(ex41, verify):
+    with pytest.raises(InputError, match="radius must be positive and finite, got inf"):
+        verify(ex41)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_lambda_verifier_samples_the_plan_of_its_seed(ex41, seed):
+    h = 2.0
+    points = sample_states(SamplingPlan(r_min=h / 100.0, r_max=100.0 * h, seed=seed), 1)
+    values = functional_values(points, truncated_batch(ex41.drift, points, h),
+                               truncated_batch(ex41.diffusion, points, h), 0.5)
+    report = m.verify_lemma_lambda_preserved(ex41, h, 0.5, 1.0, seed=seed)
+    assert (report.supremum, report.minimum, report.points) == (np.max(values), np.min(values), values.size)
+
+
+def test_lambda_verifier_refuses_a_functional_that_is_not_finite():
+    model = m.SdeModel("blows_up", 1, lambda x: np.where(x > 0.3, np.inf, -x), lambda x: 0.0 * x, lambda r: 1.0)
+    with pytest.raises(EvaluationError, match="stability functional is not finite"):
+        m.verify_lemma_lambda_preserved(model, 1.0, 0.5, 1.0)
 
 
 def test_one_step_contraction_quadrature(ex41, ex41_policy):
