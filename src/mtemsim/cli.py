@@ -185,13 +185,13 @@ def _cmd_simulate(config: RunConfig, model: SdeModel, workers: int) -> int:
     )
     d = model.dimension
     header = ["path_index", "k", "t"] + [f"x{i}" for i in range(d)] + ["diverged"]
-    times = [k * config.delta for k in range(config.steps + 1)]
+    steps = ["%d,%.17g" % (k, k * config.delta) for k in range(config.steps + 1)]  # k,t once per run
 
     def paths():  # one "%" format per row, one write per path
         for idx, first in enumerate(result.first_divergence.tolist()):
             n = config.steps + 1 if first < 0 else first + 1
-            fmt = f"{idx},%d,%.17g{',%.17g' * d},{int(first >= 0)}\n"
-            yield "".join([fmt % row for row in zip(range(n), times, *result.states[idx, :n].T.tolist())])
+            fmt = f"{idx},%s{',%.17g' * d},{int(first >= 0)}\n"
+            yield "".join([fmt % row for row in zip(steps, *result.states[idx, :n].T.tolist())])
 
     _write_csv(f"{config.out}_paths.csv", header, paths())
     return 0
@@ -269,7 +269,7 @@ def _cmd_compare(config: RunConfig, model: SdeModel, workers: int) -> int:
 
     d = model.dimension
     header = ["path_index", "k", "t"] + [f"mtem_x{i}" for i in range(d)] + [f"em_x{i}" for i in range(d)]
-    times = [k * config.delta for k in range(config.steps + 1)]
+    steps = ["%d,%.17g" % (k, k * config.delta) for k in range(config.steps + 1)]  # k,t once per run
 
     def paths():  # a scheme's fields stay empty after the state it diverged at
         for idx in range(n_show):
@@ -278,9 +278,9 @@ def _cmd_compare(config: RunConfig, model: SdeModel, workers: int) -> int:
             k = 0
             for end in sorted({*lasts, config.steps}):  # rows k..end show the same schemes
                 shown = [last >= end for last in lasts]
-                fmt = f"{idx},%d,%.17g" + "".join(",%.17g" * d if s else "," * d for s in shown) + "\n"
+                fmt = f"{idx},%s" + "".join(",%.17g" * d if s else "," * d for s in shown) + "\n"
                 columns = [c for r, s in zip(schemes, shown) if s for c in r.states[idx, k:end + 1].T.tolist()]
-                yield "".join([fmt % row for row in zip(range(k, end + 1), times[k:end + 1], *columns)])
+                yield "".join([fmt % row for row in zip(steps[k:end + 1], *columns)])
                 k = end + 1
 
     _write_csv(f"{config.out}_compare.csv", header, paths())

@@ -130,7 +130,9 @@ class Lanes:
     ``moment_p`` set, which needs one radius, the sums of |X_k|^p and
     |X_k|^(2p) over each segment of ``segment`` lanes are merged into
     ``out``'s moment sums, segment by segment in path order, with the Kahan
-    ``compensation`` arrays that every window of the run shares.
+    ``compensation`` arrays that every window of the run shares.  ``alive``
+    flags the lanes not yet frozen; ``dead``, their complement as indices, and
+    ``live``, their count, change only on a step where a lane freezes.
     """
 
     def __init__(self, model: SdeModel, radius, x0: np.ndarray, delta: float, out: RunResult,
@@ -148,7 +150,7 @@ class Lanes:
         self.x = np.tile(x0, (copies * count, 1))
         self.norms = state_norms(self.x)
         self.alive = np.ones(copies * count, dtype=bool)
-        self.every_alive = True  # until a lane freezes, no mask needs applying
+        self.dead, self.live = np.flatnonzero(~self.alive), copies * count
         self.first_divergence = out.first_divergence.reshape(copies, paths)[:, start:start + count]
         recorded = 0 if out.states is None else min(max(out.states.shape[0] // copies - start, 0), count)
         self.states = None  # (copies, recorded, steps + 1, d)
@@ -179,61 +181,59 @@ def step_paths(lanes: Lanes, coarse: np.ndarray) -> bool:
     columns are read fastest from the transpose of a step-major array.  Every
     copy of a path, one per radius, reads the path's column.  A lane
     is frozen at zero from the step its norm turns non-finite or exceeds the
-    overflow guard; recorded states are kept up to and including that step.
-    Frozen lanes are stepped on from zero until every lane is frozen.  Then
-    the remaining moment sums are filled from the last step, which each
-    further step would repeat, and False is returned: there is nothing left
-    to step.  Terminal norms are written once the lanes stop.
+    overflow guard; recorded states are kept up to and including that step,
+    and read +0.0 after it.  The bookkeeping of a freeze runs on the step a
+    lane freezes only: on every other step the frozen lanes are zeroed by
+    index and the guard is tested against the largest norm.  Frozen lanes
+    are stepped on from zero until every lane is frozen.  Then the remaining
+    moment sums are filled from the last step, which each further step would
+    repeat, and False is returned: there is nothing left to step.  Terminal
+    norms are written once the lanes stop.
     """
     model, radius, delta, guard = lanes.model, lanes.radius, lanes.delta, lanes.overflow_guard
-    x, norms, alive, every_alive = lanes.x, lanes.norms, lanes.alive, lanes.every_alive
+    x, norms, alive, dead, live = lanes.x, lanes.norms, lanes.alive, lanes.dead, lanes.live
     first_div, states, moment_p, segment = lanes.first_divergence, lanes.states, lanes.moment_p, lanes.segment
     count, b = coarse.shape
     copies = lanes.copies  # lanes per path, one per radius
     recorded = 0 if states is None else states.shape[1]
     k0 = lanes.k
+    if copies > 1:
+        copied = np.empty((copies, count))  # each radius's copy of the step's column
+        db = copied.reshape(-1)
     if moment_p is not None:
         nseg = -(-count // segment)
         sums, sqsums = np.empty((b, nseg)), np.empty((b, nseg))
         alive_counts = np.empty(b, dtype=np.int64)
 
-    frozen = False
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(b):
             k = k0 + j
-            db = coarse[:, j] if copies == 1 else np.tile(coarse[:, j], copies)
+            if copies == 1:
+                db = coarse[:, j]
+            else:
+                copied[:] = coarse[:, j]
             xn = advance_states(model, radius, x, delta, db, norms)
+            xn[dead] = 0.0
             norms = state_norms(xn)
-            if states is not None:
-                # keep the flagged state visible, then freeze the lane
-                shown = xn.reshape(copies, count, -1)[:, :recorded]
-                if every_alive:
-                    states[:, :, k + 1] = shown
-                else:
-                    keep = alive.reshape(copies, count)[:, :recorded]
-                    states[keep, k + 1] = shown[keep]
-            within = norms <= guard  # False for NaN and inf norms too
-            froze = False
-            if not within.all():
-                bad = alive & ~within
-                froze = bad.any()
-                if froze:
-                    first_div[bad.reshape(copies, count)] = k + 1
-                    alive &= ~bad
-                    every_alive = False
-            if not every_alive:
-                xn[~alive] = 0.0
-                norms = np.where(alive, norms, 0.0)  # the norms of the zeroed lanes
+            if states is not None:  # a frozen lane writes the +0.0 its state already holds
+                states[:, :, k + 1] = xn.reshape(copies, count, -1)[:, :recorded]
+            if not norms.max() <= guard:  # False for a NaN norm too: a lane froze, its flagged state recorded
+                bad = np.flatnonzero(~(norms <= guard))  # a frozen lane's norm is 0
+                first_div[np.divmod(bad, count)] = k + 1
+                alive[bad] = False
+                dead = np.flatnonzero(~alive)
+                live = alive.size - dead.size
+                xn[bad] = 0.0
+                norms[bad] = 0.0
             x = xn
             if moment_p is not None:
                 _moment_sums(norms, moment_p, segment, sums[j], sqsums[j])
-                alive_counts[j] = count if every_alive else alive.sum()
-            if froze and not alive.any():
-                frozen = True
+                alive_counts[j] = live
+            if not live:
                 break
 
-    taken = j + 1
-    lanes.x, lanes.norms, lanes.every_alive, lanes.k = x, norms, every_alive, k0 + taken
+    taken, frozen = j + 1, not live
+    lanes.x, lanes.norms, lanes.dead, lanes.live, lanes.k = x, norms, dead, live, k0 + taken
     steps = lanes.out.steps
     if moment_p is not None:
         lanes.merge(k0 + 1, sums[:taken], sqsums[:taken], alive_counts[:taken])

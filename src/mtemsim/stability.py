@@ -303,6 +303,8 @@ def verify_lemma_global_lipschitz(
     n_outside = trials // 3
     n_straddle = trials - n_inside - n_outside
     outer = radius_multiple * h
+    if not 0.0 < outer < np.inf:
+        raise InputError(f"radius_multiple * radius must be positive and finite, got {radius_multiple} * {radius}")
 
     cases = ((n_inside, (0.0, h), (0.0, h)), (n_outside, (h, outer), (h, outer)), (n_straddle, (0.0, h), (h, outer)))
     blocks = [_pair_block(rng, model, rng.uniform(*a, n), rng.uniform(*b, n)) for n, a, b in cases if n]
@@ -358,10 +360,11 @@ def verify_lemma_lambda_preserved(
     is not finite raises ``EvaluationError``.
     """
     h = float(radius)
-    if not 0.0 < h < np.inf:
-        raise InputError(f"radius must be positive and finite, got {radius}")
+    r_min, r_max = h / 100.0, 100.0 * h
+    if not (0.0 < r_min and r_max < np.inf):  # h itself too
+        raise InputError(f"radius must be positive and finite, got {radius}, and so must h / 100 and 100 h")
     _check_moment_order(p)
-    points = sample_states(SamplingPlan(r_min=h / 100.0, r_max=100.0 * h, seed=seed), model.dimension)
+    points = sample_states(SamplingPlan(r_min=r_min, r_max=r_max, seed=seed), model.dimension)
     values = _sampled_functional(points, truncated_batch(model.drift, points, h),
                                  truncated_batch(model.diffusion, points, h), p)
     sup = float(np.max(values))

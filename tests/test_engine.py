@@ -320,6 +320,41 @@ def test_a_single_path_equals_its_lane_at_every_refinement(refinement, workers):
         assert rec.states.tobytes() == batch.states[i].tobytes()
 
 
+# (model, x0, overflow guard): at delta = 0.02 em loses 15 of 24 paths in both, at steps 5 to 20 and 7 to 27;
+# f(0) = 1 leaves zero, so a frozen lane stays at zero only if each step zeroes it
+FREEZES = {"example41": (m.example41(), 3.0, 1e10),
+           "drift_one_at_zero": (SdeModel("shifted", 1, lambda x: 1.0 - x, lambda x: 0.0 * x + 3.0,
+                                          lambda r: 1.0), 0.0, 2.0)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", FREEZES)
+def test_lanes_that_freeze_at_different_steps_each_step_as_their_path_alone(case, workers, monkeypatch):
+    model, x0, guard = FREEZES[case]
+    delta, steps, paths, seed, radii = 0.02, 30, 24, 7, (2.0, np.inf)
+    monkeypatch.setattr(engine, "BLOCK_STEPS", 3)  # freezes on and off block edges
+    monkeypatch.setattr(engine, "WINDOW_SEGMENTS", 2)  # windows of 8 paths: 3 of them
+    both = run_paths(model, radii, x0, delta, steps, paths, seed, 1, want_terminal=True, record_paths=paths,
+                     overflow_guard=guard, chunk_paths=4, workers=workers)
+    em_first = both.split(2)[1].first_divergence
+    assert np.unique(em_first[em_first >= 0]).size >= 5 and np.count_nonzero(em_first < 0) >= 2
+    for lane in range(both.paths):
+        radius, i = radii[lane // paths], lane % paths
+        rec = m.simulate_path(model, radius, "mtem" if radius < np.inf else "em", x0, delta, steps,
+                              m.BrownianPath.generate(seed, i, delta, steps, refinement=1), guard)
+        first = int(both.first_divergence[lane])
+        assert first == (-1 if rec.first_divergence_step is None else rec.first_divergence_step)
+        assert rec.states.tobytes() == both.states[lane, :rec.states.shape[0]].tobytes()
+        frozen = both.states[lane, rec.states.shape[0]:]
+        assert np.all(frozen == 0.0) and not np.signbit(frozen).any()
+        assert np.isnan(both.terminal_norm[lane]) == (first >= 0)
+    em = run_paths(model, np.inf, x0, delta, steps, paths, seed, 1, moment_p=0.5, overflow_guard=guard,
+                   chunk_paths=4, workers=workers)
+    assert em.first_divergence.tobytes() == em_first.tobytes()
+    living = [np.count_nonzero((em_first < 0) | (em_first > k)) for k in range(steps + 1)]
+    assert em.alive.tolist() == living
+
+
 def test_the_callers_errstate_holds_on_every_worker_thread():
     # every em path from x0 = 50 diverges, and 0 ** -0.5 divides by zero
     def run(workers):

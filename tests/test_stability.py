@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,16 @@ def test_lemma_lambda_preserved_cases(ex41):
 def test_the_verifiers_refuse_an_infinite_radius(ex41, verify):
     with pytest.raises(InputError, match="radius must be positive and finite, got inf"):
         verify(ex41)
+
+
+@pytest.mark.parametrize("verify, radius", [
+    (lambda model, h: m.verify_lemma_lambda_preserved(model, h, 0.5, 1.0), 1e307),  # 100 h is inf
+    (lambda model, h: m.verify_lemma_global_lipschitz(model, h, trials=30), 1e308),  # 10 h is inf
+    (lambda model, h: m.verify_lemma_lambda_preserved(model, h, 0.5, 1.0), 1e-323),  # h / 100 is 0
+], ids=["lambda_preserved_huge", "global_lipschitz_huge", "lambda_preserved_tiny"])
+def test_the_verifiers_refuse_a_radius_whose_sampling_range_is_not_positive_and_finite(ex41, verify, radius):
+    with pytest.raises(InputError, match=re.escape(str(radius))):
+        verify(ex41, radius)
 
 
 @pytest.mark.parametrize("seed", [0, 5])
