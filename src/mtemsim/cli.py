@@ -325,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
         for key, (_, text) in _KEYS.items():
             sp.add_argument(f"--{key}", help=text)  # a raw string: _coerce parses it like a file value
         sp.add_argument("--workers", type=int, default=1,
-                        help="processes that draw each block's increments ahead; this one steps all paths")
+                        help="2 or more fork that many drawer processes, at most the window's 8 segments, to draw "
+                             "each block's increments ahead; 1 draws in this process, which steps all paths")
     return parser
 
 

@@ -6,10 +6,10 @@ advances in blocks of ``BLOCK_STEPS`` steps.  A path may have a lane per
 truncation radius, MTEM beside plain EM say, all reading its increments,
 drawn once.  With two workers or more, forked child processes draw block
 k + 1 into one half of a shared buffer while this process steps every lane
-through block k in the other.  No draw runs in this interpreter while a
-block is stepped: a step is a few dozen numpy calls, each of which gives up
-the GIL, and a drawing thread that takes it in between slows the step more
-than its draws save.  Memory is bounded by the window times the block.
+through block k in the other; otherwise the caller draws, then steps, each
+block.  No thread draws during a step: a step is many numpy calls that each
+give up the GIL, and a drawing thread that takes it in between slows the step
+more than its draws save.  Memory is bounded by the window times the block.
 
 Moment sums are reduced per segment at every step with a fixed operation
 order, and merged segment by segment in path order with compensated
@@ -277,13 +277,13 @@ def run_paths(
     ``split`` gives one result per radius, byte for byte equal to a run under
     that radius alone.  Moment sums need a single radius.
 
-    With ``jobs = min(workers, segments per window) >= 2`` the run forks
-    ``jobs`` drawers, at most ``WINDOW_SEGMENTS`` (8); drawer ``rank`` owns
-    segments ``rank``, ``rank + jobs``, ... and keeps their generators.  Its
-    ``jobs`` threads, in copies of the caller's context, wait on their
-    drawers, then at a barrier whose action sends out block k + 1 and steps
-    block k; with one job, or no ``os.fork``, they draw between steps.  A
-    drawer's error is re-raised as its own type, or as a RuntimeError with
+    With ``os.fork`` and ``jobs = min(workers, segments per window) >= 2`` the
+    run forks ``jobs`` drawers, at most ``WINDOW_SEGMENTS`` (8); drawer
+    ``rank`` owns segments ``rank``, ``rank + jobs``, ... and keeps their
+    generators.  Its ``jobs`` threads, in copies of the caller's context, only
+    wait on their drawers, then at a barrier whose action sends out block k + 1
+    and steps block k; otherwise the caller draws each block, then steps it.
+    A drawer's error is re-raised as its own type, or as a RuntimeError with
     its traceback.  Every drawer is reaped before the call returns or raises.
     A size numpy cannot index raises MemoryError before anything is allocated.
     """
@@ -302,8 +302,8 @@ def run_paths(
     x0_row = as_state(model, x0)
     width = WINDOW_SEGMENTS * chunk_paths
     block = min(steps, BLOCK_STEPS)
-    jobs = max(1, min(workers, -(-min(paths, width) // chunk_paths)))
-    shape = (1 + (jobs > 1 and hasattr(os, "fork")), block, min(paths, width))  # halves; a step reads one row
+    jobs = max(1, min(workers, -(-min(paths, width) // chunk_paths))) if hasattr(os, "fork") else 1
+    shape = (1 + (jobs > 1), block, min(paths, width))  # halves; a step reads one row
     group = max(1, min(chunk_paths, GROUP_NORMALS // (block * refinement)))
     recorded = copies * min(record_paths, paths)
     # numpy refuses, with a ValueError, an array of more bytes than an intp counts: refuse it first
@@ -317,13 +317,13 @@ def run_paths(
     halves = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)  # shared with drawers
     generators = [None] * shape[2]  # one per lane of the current window
     scale = math.sqrt(delta / refinement)
-    scratch = [(np.empty(group * block * refinement), np.empty(group * block)) for _ in range(jobs)]
+    scratch = np.empty(group * block * refinement), np.empty(group * block)  # one thread per process draws
 
     def window(first: int) -> Lanes:
         return Lanes(model, radius, x0_row, delta, out, first, min(width, paths - first), moment_p=moment_p,
                      segment=chunk_paths, overflow_guard=overflow_guard, compensation=compensation)
 
-    # only the barrier's action moves the cursor (window start, first step) and the block in flight
+    # only step_block moves the cursor (window start, first step) and the block in flight
     at, lanes, inflight = (0, 0), window(0), None
     pids, commands, replies = [], [], []  # the drawers and this process's ends of their pipes
 
@@ -355,7 +355,7 @@ def run_paths(
         generator, then the group is scaled, summed row by row (a row sum even
         at refinement 1, where it maps -0.0 to 0.0) and transposed into place.
         """
-        (fine_buf, sum_buf), count, b = scratch[rank], min(width, paths - start), min(block, steps - k0)
+        (fine_buf, sum_buf), count, b = scratch, min(width, paths - start), min(block, steps - k0)
         for first in range(rank * chunk_paths, count, jobs * chunk_paths):
             end = min(first + chunk_paths, count)
             for lo in range(first, end, group):
@@ -391,9 +391,7 @@ def run_paths(
     def job(rank: int) -> None:
         try:
             while at[0] < paths:
-                if not pids:
-                    draw(rank, *at, 0)
-                elif error := pickle.load(replies[rank]):  # blocks, GIL released, until the share is drawn
+                if error := pickle.load(replies[rank]):  # blocks, GIL released, until the share is drawn
                     raise error
                 barrier.wait()  # the last thread to arrive steps the block
         except BaseException:
@@ -401,7 +399,12 @@ def run_paths(
             raise
 
     try:
-        for rank in range(jobs if shape[0] == 2 else 0):
+        if jobs == 1:  # this thread draws each block, then steps it
+            while at[0] < paths:
+                draw(0, *at, 0)
+                step_block()
+            return out
+        for rank in range(jobs):
             (command_fd, command_w), (reply_r, reply_fd) = os.pipe(), os.pipe()
             commands.append(open(command_w, "wb", buffering=0))
             replies.append(open(reply_r, "rb"))
@@ -416,9 +419,6 @@ def run_paths(
                 for fd in (command_fd, reply_fd):
                     os.close(fd)
         dispatch(at, 0)
-        if jobs == 1:
-            job(0)
-            return out
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             # a fresh copy per job: two threads cannot enter one context
             futures = [pool.submit(contextvars.copy_context().run, job, rank) for rank in range(jobs)]

@@ -209,19 +209,25 @@ def sample_states(plan: SamplingPlan, dimension: int) -> np.ndarray:
     return points
 
 
-def _sampled_functional(points: np.ndarray, f_vals: np.ndarray, g_vals: np.ndarray, p: float) -> np.ndarray:
-    """``functional_values`` at sampled points; ``EvaluationError`` at the first point where it is not finite."""
-    values = functional_values(points, f_vals, g_vals, p)
-    if not np.all(np.isfinite(values)):
-        raise EvaluationError(f"stability functional is not finite at x = {points[~np.isfinite(values)][0]!r}")
+def _check_finite(values: np.ndarray, what: str, points: np.ndarray) -> None:
+    """``EvaluationError`` at the first of ``points`` whose value, or row of ``values``, is not finite."""
+    bad = ~np.isfinite(values.reshape(len(points), -1)).all(axis=1)
+    if bad.any():
+        raise EvaluationError(f"{what} is not finite at x = {points[bad][0]!r}")
+
+
+def _sampled_functional(points: np.ndarray, drift: Coefficient, diffusion: Coefficient, p: float) -> np.ndarray:
+    """The stability functional of ``drift`` and ``diffusion`` at sampled points, silent but for ``EvaluationError``."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        values = functional_values(points, np.asarray(drift(points), dtype=float),
+                                   np.asarray(diffusion(points), dtype=float), p)
+    _check_finite(values, "stability functional", points)
     return values
 
 
 def _functional_supremum(model: SdeModel, p: float, plan: SamplingPlan | None) -> float:
     points = sample_states(plan if plan is not None else SamplingPlan(), model.dimension)
-    f_vals = np.asarray(model.drift(points), dtype=float)
-    g_vals = np.asarray(model.diffusion(points), dtype=float)
-    return float(np.max(_sampled_functional(points, f_vals, g_vals, p)))
+    return float(np.max(_sampled_functional(points, model.drift, model.diffusion, p)))
 
 
 def estimate_lambda(model: SdeModel, p: float, plan: SamplingPlan | None = None) -> float:

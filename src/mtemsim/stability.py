@@ -16,8 +16,8 @@ import numpy as np
 
 from .engine import run_paths
 from .errors import EstimationError, InputError
-from .models import (SamplingPlan, SdeModel, _check_moment_order, _gaussian_directions, _sampled_functional,
-                     sample_states, state_norms)
+from .models import (SamplingPlan, SdeModel, _check_finite, _check_moment_order, _gaussian_directions,
+                     _sampled_functional, sample_states, state_norms)
 from .schemes import scheme_radius
 from .truncation import truncated_batch
 
@@ -289,7 +289,9 @@ def verify_lemma_global_lipschitz(
     Pairs are stratified over the three geometric cases (both inside the
     ball, both outside, straddling) so every branch of the truncation is
     exercised.  This is a theorem, not a statistic: a single violating pair
-    beyond the relative slack fails the report.
+    beyond the relative slack fails the report.  A sampled state whose
+    truncated drift or diffusion is not finite, or a pair whose difference
+    quotient overflows, raises ``EvaluationError``.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
@@ -315,12 +317,13 @@ def verify_lemma_global_lipschitz(
     distinct = gaps > 0.0
     x, y, gaps = x[distinct], y[distinct], gaps[distinct]
 
-    fx = truncated_batch(model.drift, x, h)
-    fy = truncated_batch(model.drift, y, h)
-    gx = truncated_batch(model.diffusion, x, h)
-    gy = truncated_batch(model.diffusion, y, h)
-    ratio_f = float(np.max(state_norms(fx - fy) / gaps))
-    ratio_g = float(np.max(state_norms(gx - gy) / gaps))
+    states = np.concatenate([x, y])
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite raises below instead
+        f, g = (truncated_batch(c, states, h) for c in (model.drift, model.diffusion))
+        ratios = np.column_stack([state_norms(np.subtract(*np.split(v, 2))) / gaps for v in (f, g)])
+    _check_finite(np.hstack([f, g]), "truncated drift or diffusion", states)
+    _check_finite(ratios, "difference quotient of the truncated coefficients", x)
+    ratio_f, ratio_g = (float(r) for r in ratios.max(axis=0))
 
     bound = 3.0 * float(model.lipschitz_bound(h))
     return GlobalLipschitzReport(
@@ -365,8 +368,8 @@ def verify_lemma_lambda_preserved(
         raise InputError(f"radius must be positive and finite, got {radius}, and so must h / 100 and 100 h")
     _check_moment_order(p)
     points = sample_states(SamplingPlan(r_min=r_min, r_max=r_max, seed=seed), model.dimension)
-    values = _sampled_functional(points, truncated_batch(model.drift, points, h),
-                                 truncated_batch(model.diffusion, points, h), p)
+    values = _sampled_functional(points, lambda s: truncated_batch(model.drift, s, h),
+                                 lambda s: truncated_batch(model.diffusion, s, h), p)
     sup = float(np.max(values))
     return LambdaPreservationReport(h, p, float(lam), sup, float(np.min(values)), int(values.size), tolerance,
                                     sup <= -lam + tolerance)

@@ -1,4 +1,5 @@
 import os
+import threading
 
 import pytest
 
@@ -24,3 +25,12 @@ def no_child_process_outlives_the_tests():
     except ChildProcessError:  # no child at all
         return
     pytest.fail(f"a child process outlived the tests (waitpid gave pid {pid}, status {status})")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_thread_outlives_the_tests():
+    """Fail the run if any Python thread but the main one is still alive at the end."""
+    yield
+    others = [t for t in threading.enumerate() if t is not threading.main_thread()]
+    if others:
+        pytest.fail(f"threads outlived the tests: {others}")

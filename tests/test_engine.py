@@ -7,7 +7,7 @@ horizon; it is checked only on the numpy version it was captured on.
 
 From two workers on, forked drawer processes draw each block's increments
 while a thread of the caller's process steps every lane; no drawer outlives
-its run.  Without ``os.fork`` the threads draw in turn, to the same bytes.
+its run.  Without ``os.fork`` the calling thread draws, to the same bytes.
 Neither the worker count, the block length nor the window changes an output
 byte, and memory does not grow with the number of steps.
 A run over several radii splits back into the runs under each radius alone.
@@ -452,9 +452,9 @@ def test_a_caller_that_ignores_sigchld_still_gets_its_result():
 
 
 @pytest.mark.parametrize("workers", [2, 4])
-def test_without_fork_the_threads_draw_the_same_bytes(workers, monkeypatch):
+def test_without_fork_the_caller_draws_the_same_bytes(workers, monkeypatch):
     # em from x0 = 3 loses some paths; 100 paths make windows of 32, 32, 32 and 4, 60 steps blocks of 7 and a 4
-    baseline, parent, drawn_in = threading.active_count(), os.getpid(), set()
+    baseline, caller, drawn_in = threading.active_count(), (os.getpid(), threading.get_ident()), set()
     path_generator = engine.path_generator
 
     class Recorded:
@@ -462,7 +462,7 @@ def test_without_fork_the_threads_draw_the_same_bytes(workers, monkeypatch):
             self.generator = generator
 
         def standard_normal(self, **kwargs):
-            drawn_in.add(os.getpid())
+            drawn_in.add((os.getpid(), threading.get_ident()))
             return self.generator.standard_normal(**kwargs)
 
     def run(workers):
@@ -478,7 +478,7 @@ def test_without_fork_the_threads_draw_the_same_bytes(workers, monkeypatch):
     monkeypatch.setattr(engine, "path_generator", lambda seed, i: Recorded(path_generator(seed, i)))
     for got, want in zip(_arrays(run(workers)), _arrays(expected)):
         assert got.tobytes() == want.tobytes()
-    assert drawn_in == {parent}
+    assert drawn_in == {caller}  # every draw ran in the calling thread
     assert threading.active_count() == baseline
     with pytest.raises(ChildProcessError):  # no child was started
         os.waitpid(-1, os.WNOHANG)

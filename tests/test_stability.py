@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import mtemsim as m
-from mtemsim.errors import EstimationError, EvaluationError, InputError
+from mtemsim.engine import run_paths
+from mtemsim.errors import EstimationError, EvaluationError, InputError, MtemError
 from mtemsim.models import SamplingPlan, functional_values, sample_states
 from mtemsim.stability import MomentEstimate, UNDERFLOW_FLOOR
 from mtemsim.truncation import truncated_batch
@@ -247,6 +248,47 @@ def test_lambda_verifier_refuses_a_functional_that_is_not_finite():
     model = m.SdeModel("blows_up", 1, lambda x: np.where(x > 0.3, np.inf, -x), lambda x: 0.0 * x, lambda r: 1.0)
     with pytest.raises(EvaluationError, match="stability functional is not finite"):
         m.verify_lemma_lambda_preserved(model, 1.0, 0.5, 1.0)
+
+
+# Warnings are errors in this suite, so each case also checks that no numpy
+# overflow or invalid-value warning comes before the error.
+@pytest.mark.parametrize("evaluate, radius, match", [
+    (lambda model, h: m.verify_lemma_global_lipschitz(model, h, trials=30), 1e300, "truncated drift or diffusion"),
+    (lambda model, h: m.verify_lemma_global_lipschitz(model, h, trials=30), 1e305, "truncated drift or diffusion"),
+    (lambda model, h: m.verify_lemma_global_lipschitz(model, h, trials=30), 1.7e306, "truncated drift or diffusion"),
+    (lambda model, h: m.verify_lemma_lambda_preserved(model, h, 0.5, 1.0), 1e300, "stability functional"),
+    (lambda model, h: m.verify_lemma_lambda_preserved(model, h, 0.5, 1.0), 1e-300, "stability functional"),
+    (lambda model, h: m.estimate_lambda(model, 0.5, SamplingPlan(r_min=h / 1e100, r_max=h)), 1e300,
+     "stability functional"),
+], ids=["global_lipschitz_1e300", "global_lipschitz_1e305", "global_lipschitz_1.7e306", "lambda_preserved_1e300",
+        "lambda_preserved_1e-300", "estimate_lambda_1e300"])
+def test_a_sample_that_is_not_finite_is_an_evaluation_error_without_a_warning(ex41, evaluate, radius, match):
+    with pytest.raises(EvaluationError, match=f"{match} is not finite at x = "):
+        evaluate(ex41, radius)
+
+
+def test_lipschitz_verifier_refuses_a_difference_quotient_that_overflows():
+    # f(x) = 1e307 x is finite for |x| <= 10, but f(x) - f(y) overflows for x near 10 and y near -10
+    with pytest.raises(EvaluationError, match="difference quotient of the truncated coefficients is not finite"):
+        m.verify_lemma_global_lipschitz(m.linear(1e307, 0.0), 1.0, trials=300)
+
+
+HOSTILE_RADII = [0.0, -1.0, math.nan, -math.inf, math.inf, 1e308, 1e300, 1e-300, 1e-323, 2**63]
+RADIUS_TAKERS = {
+    "run_paths": lambda model, h: run_paths(model, h, 1.0, 1e-3, 5, 3, 1),
+    "global_lipschitz": lambda model, h: m.verify_lemma_global_lipschitz(model, h, trials=30),
+    "lambda_preserved": lambda model, h: m.verify_lemma_lambda_preserved(model, h, 0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("radius", HOSTILE_RADII, ids=repr)
+@pytest.mark.parametrize("call", RADIUS_TAKERS)
+def test_a_hostile_radius_returns_or_raises_a_library_error(ex41, call, radius):
+    # never an OverflowError, a numpy ValueError or a RuntimeWarning, which this suite raises as an error
+    try:
+        RADIUS_TAKERS[call](ex41, radius)
+    except MtemError:
+        pass
 
 
 def test_one_step_contraction_quadrature(ex41, ex41_policy):
