@@ -33,8 +33,6 @@ __all__ = ["RunConfig", "parse_config", "run_command", "main"]
 # divergence tallies always cover every path.
 COMPARE_TRAJECTORY_PATHS = 4
 
-_LEMMA_TRIALS = 100_000
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -242,7 +240,7 @@ def _cmd_verify(config: RunConfig, model: SdeModel, workers: int) -> int:
     )
 
     lam_hat = estimate_lambda(model, config.p, SamplingPlan(seed=config.seed))
-    lip = verify_lemma_global_lipschitz(model, h, trials=_LEMMA_TRIALS, seed=config.seed)
+    lip = verify_lemma_global_lipschitz(model, h, seed=config.seed)
     preserved = verify_lemma_lambda_preserved(model, h, config.p, lam_hat, seed=config.seed)
     drift, diffusion, lam = ("pass" if ok else "fail" for ok in (lip.drift_passed, lip.diffusion_passed,
                                                                    preserved.passed))

@@ -1,7 +1,7 @@
 """Multi-path simulation: one wide stepper, drawer processes filling its increments ahead.
 
 The paths of a run are stepped as the lanes of one array, a window of up to
-``WINDOW_SEGMENTS`` segments of ``chunk_paths`` paths at a time, and time
+``WINDOW_SEGMENTS`` segments of ``CHUNK_PATHS`` paths at a time, and time
 advances in blocks of ``BLOCK_STEPS`` steps.  A path may have a lane per
 truncation radius, MTEM beside plain EM say, all reading its increments,
 drawn once.  With two workers or more, forked child processes draw block
@@ -64,7 +64,7 @@ class RunResult:
     steps: int
     delta: float
     first_divergence: np.ndarray  # (paths,), -1 where the path never diverged
-    terminal_norm: np.ndarray | None  # (paths,), nan for diverged paths
+    terminal_norm: np.ndarray  # (paths,), nan for diverged paths
     moment_sum: np.ndarray | None  # (steps + 1,)
     moment_sqsum: np.ndarray | None
     alive: np.ndarray | None  # (steps + 1,) int
@@ -82,12 +82,11 @@ class RunResult:
                           self.moment_sqsum, self.alive, states) for first, terminal, states in zip(*pieces)]
 
     @classmethod
-    def empty(cls, paths, steps, delta, dimension, *, moments=False, want_terminal=False, record_paths=0):
+    def empty(cls, paths, steps, delta, dimension, *, moments=False, record_paths=0):
         """A result for the stepper to fill: no path diverged yet, sums at zero."""
         recorded = min(record_paths, paths)
         return cls(
-            paths, steps, delta, np.full(paths, -1, dtype=np.int64),
-            np.full(paths, np.nan) if want_terminal else None,
+            paths, steps, delta, np.full(paths, -1, dtype=np.int64), np.full(paths, np.nan),
             np.zeros(steps + 1) if moments else None,
             np.zeros(steps + 1) if moments else None,
             np.zeros(steps + 1, dtype=np.int64) if moments else None,
@@ -128,23 +127,23 @@ class Lanes:
     ``start + i`` under the ``s``-th, and ``out``, radius-major too, receives
     the lanes' first divergences, recorded states and terminal norms.  With
     ``moment_p`` set, which needs one radius, the sums of |X_k|^p and
-    |X_k|^(2p) over each segment of ``segment`` lanes are merged into
+    |X_k|^(2p) over each segment of ``CHUNK_PATHS`` lanes are merged into
     ``out``'s moment sums, segment by segment in path order, with the Kahan
     ``compensation`` arrays that every window of the run shares.  ``alive``
     flags the lanes not yet frozen; ``dead``, their complement as indices, and
-    ``live``, their count, change only on a step where a lane freezes.
+    ``live``, their count, change only on a step where a lane freezes.  A lane
+    freezes once its norm exceeds ``OVERFLOW_GUARD``, read here.
     """
 
     def __init__(self, model: SdeModel, radius, x0: np.ndarray, delta: float, out: RunResult,
                  start: int = 0, count: int | None = None, *, moment_p: float | None = None,
-                 segment: int = CHUNK_PATHS, overflow_guard: float = OVERFLOW_GUARD,
                  compensation: tuple[np.ndarray, np.ndarray] | None = None):
         radii = np.minimum(np.ravel(radius), UNTRUNCATED)
         copies, paths = radii.size, out.paths // radii.size
         count = paths - start if count is None else count
-        self.model, self.delta, self.overflow_guard = model, delta, overflow_guard
+        self.model, self.delta, self.overflow_guard = model, delta, OVERFLOW_GUARD
         self.radius = np.repeat(radii, count)  # one per lane: a single kernel serves one radius or several
-        self.out, self.start, self.count, self.copies, self.segment = out, start, count, copies, segment
+        self.out, self.start, self.count, self.copies, self.segment = out, start, count, copies, CHUNK_PATHS
         self.moment_p = moment_p
         self.k = 0  # steps taken
         self.x = np.tile(x0, (copies * count, 1))
@@ -158,10 +157,10 @@ class Lanes:
             self.states = out.states.reshape(copies, -1, *out.states.shape[1:])[:, start:start + recorded]
             self.states[:, :, 0] = x0
         if moment_p is not None:
-            self.compensation = compensation or (np.zeros(out.steps + 1), np.zeros(out.steps + 1))
-            nseg = -(-count // segment)
+            self.compensation = compensation
+            nseg = -(-count // self.segment)
             sums, sqsums = np.empty((1, nseg)), np.empty((1, nseg))
-            _moment_sums(self.norms, moment_p, segment, sums[0], sqsums[0])
+            _moment_sums(self.norms, moment_p, self.segment, sums[0], sqsums[0])
             self.merge(0, sums, sqsums, count)
 
     def merge(self, t0: int, sums: np.ndarray, sqsums: np.ndarray, alive) -> None:
@@ -241,7 +240,7 @@ def step_paths(lanes: Lanes, coarse: np.ndarray) -> bool:
         if frozen and rest > 0:  # every lane is frozen at zero: each remaining step repeats this one
             lanes.merge(lanes.k + 1, np.broadcast_to(sums[j], (rest, nseg)),
                         np.broadcast_to(sqsums[j], (rest, nseg)), 0)
-    if (frozen or lanes.k == steps) and lanes.out.terminal_norm is not None:
+    if frozen or lanes.k == steps:
         terminal = lanes.out.terminal_norm.reshape(copies, -1)[:, lanes.start:lanes.start + count]
         terminal[:] = np.where(alive, norms, np.nan).reshape(copies, count)
     return not frozen
@@ -258,18 +257,16 @@ def run_paths(
     refinement: int = 1,
     *,
     moment_p: float | None = None,
-    want_terminal: bool = False,
     record_paths: int = 0,
-    overflow_guard: float = OVERFLOW_GUARD,
     workers: int = 1,
-    chunk_paths: int = CHUNK_PATHS,
 ) -> RunResult:
     """Simulate ``paths`` independent paths and merge per-segment reductions.
 
     ``moment_p`` switches on accumulation of per-step sums of |X_k|^p and
-    |X_k|^(2p) over the paths still alive at k; ``want_terminal`` collects
-    terminal state norms; ``record_paths`` keeps the full trajectories of
-    that many leading paths (memory scales with record_paths * steps).
+    |X_k|^(2p) over the paths still alive at k; ``record_paths`` keeps the
+    full trajectories of that many leading paths (memory scales with
+    record_paths * steps).  Terminal state norms are always kept.  Segments
+    hold ``CHUNK_PATHS`` paths, and a lane freezes beyond ``OVERFLOW_GUARD``.
 
     ``radius`` is one truncation radius > 0 (+inf for none) or several, which
     step each path as lanes of one run, sharing its increments, drawn once.
@@ -293,18 +290,18 @@ def run_paths(
         raise InputError(f"steps must be >= 1, got {steps}")
     if not delta > 0.0:
         raise InputError(f"step size must be positive, got {delta}")
-    if refinement < 1 or chunk_paths < 1:
-        raise InputError("refinement and chunk_paths must be >= 1")
+    if refinement < 1:
+        raise InputError(f"refinement must be >= 1, got {refinement}")
     copies = np.size(radius)
     if copies != 1 and (copies == 0 or moment_p is not None):
         raise InputError("give a radius, and a single one for moment sums")
     radius = np.array([resolve_radius(r) for r in np.ravel(radius)])  # each one positive, +inf for none
-    x0_row = as_state(model, x0)
-    width = WINDOW_SEGMENTS * chunk_paths
+    x0_row, chunk = as_state(model, x0), CHUNK_PATHS
+    width = WINDOW_SEGMENTS * chunk
     block = min(steps, BLOCK_STEPS)
-    jobs = max(1, min(workers, -(-min(paths, width) // chunk_paths))) if hasattr(os, "fork") else 1
+    jobs = max(1, min(workers, -(-min(paths, width) // chunk))) if hasattr(os, "fork") else 1
     shape = (1 + (jobs > 1), block, min(paths, width))  # halves; a step reads one row
-    group = max(1, min(chunk_paths, GROUP_NORMALS // (block * refinement)))
+    group = max(1, min(chunk, GROUP_NORMALS // (block * refinement)))
     recorded = copies * min(record_paths, paths)
     # numpy refuses, with a ValueError, an array of more bytes than an intp counts: refuse it first
     for n in (copies * paths, steps + 1 if moment_p is not None else 0, recorded * (steps + 1) * model.dimension,
@@ -312,7 +309,7 @@ def run_paths(
         if 8 * n > np.iinfo(np.intp).max:
             raise MemoryError(f"an array of {n} 8-byte values is more than numpy can index")
     out = RunResult.empty(copies * paths, steps, delta, model.dimension, moments=moment_p is not None,
-                          want_terminal=want_terminal, record_paths=recorded)
+                          record_paths=recorded)
     compensation = (np.zeros(steps + 1), np.zeros(steps + 1)) if moment_p is not None else None
     halves = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)  # shared with drawers
     generators = [None] * shape[2]  # one per lane of the current window
@@ -321,7 +318,7 @@ def run_paths(
 
     def window(first: int) -> Lanes:
         return Lanes(model, radius, x0_row, delta, out, first, min(width, paths - first), moment_p=moment_p,
-                     segment=chunk_paths, overflow_guard=overflow_guard, compensation=compensation)
+                     compensation=compensation)
 
     # only step_block moves the cursor (window start, first step) and the block in flight
     at, lanes, inflight = (0, 0), window(0), None
@@ -356,8 +353,8 @@ def run_paths(
         at refinement 1, where it maps -0.0 to 0.0) and transposed into place.
         """
         (fine_buf, sum_buf), count, b = scratch, min(width, paths - start), min(block, steps - k0)
-        for first in range(rank * chunk_paths, count, jobs * chunk_paths):
-            end = min(first + chunk_paths, count)
+        for first in range(rank * chunk, count, jobs * chunk):
+            end = min(first + chunk, count)
             for lo in range(first, end, group):
                 n = min(group, end - lo)
                 fine = fine_buf[: n * b * refinement].reshape(n, b, refinement)

@@ -110,6 +110,8 @@ class SamplingPlan:
     def __post_init__(self):
         if not 0.0 < self.r_min < self.r_max:
             raise InputError(f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
+        if not np.isfinite(float(self.r_max) / float(self.r_min)):  # the count of decades sampled
+            raise InputError(f"r_max / r_min must be finite, got {self.r_max} / {self.r_min}")
         if self.radii_per_decade < 1 or self.directions_per_radius < 1:
             raise InputError("radii_per_decade and directions_per_radius must be >= 1")
 

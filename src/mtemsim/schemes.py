@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .models import SdeModel, as_state, state_norms
-from .truncation import resolve_radius, truncation_factors
+from .truncation import _at_state, resolve_radius, truncation_factors
 
 __all__ = [
     "OVERFLOW_GUARD",
@@ -140,12 +140,11 @@ def advance_states(
 
 
 def step_mtem(model: SdeModel, policy_or_radius, x, delta: float, db: float) -> np.ndarray:
-    """Single truncated Euler step from state ``x`` with increment ``db``."""
+    """Single truncated Euler step from state ``x`` with increment ``db``; ``EvaluationError`` if it is not finite."""
     if not delta > 0.0:
         raise InputError(f"step size must be positive, got {delta}")
-    h = resolve_radius(policy_or_radius, delta)
-    xs = as_state(model, x)[None, :]
-    return advance_states(model, h, xs, delta, np.array([float(db)]))[0]
+    return _at_state(model, policy_or_radius, x, delta,
+                     lambda h, xs: advance_states(model, h, xs, delta, np.array([float(db)])), "truncated Euler step")
 
 
 def simulate_path(
@@ -156,12 +155,11 @@ def simulate_path(
     delta: float,
     steps: int,
     path: BrownianPath,
-    overflow_guard: float = OVERFLOW_GUARD,
 ) -> TrajectoryRecord:
     """Advance one path for ``steps`` coarse steps of size ``delta``.
 
     The record stops, with the divergence flag set, at the first state whose
-    magnitude exceeds ``overflow_guard`` or that has a non-finite coordinate.
+    magnitude exceeds ``engine.OVERFLOW_GUARD`` or that has a non-finite coordinate.
     """
     if steps < 1:
         raise InputError(f"steps must be >= 1, got {steps}")
@@ -173,8 +171,7 @@ def simulate_path(
 
     radius = scheme_radius(model, policy_or_radius, scheme, delta)
     run = RunResult.empty(1, steps, delta, model.dimension, record_paths=1)
-    step_paths(Lanes(model, radius, as_state(model, x0), delta, run, overflow_guard=overflow_guard),
-               path.coarse()[None, :steps])
+    step_paths(Lanes(model, radius, as_state(model, x0), delta, run), path.coarse()[None, :steps])
     states = run.states[0]
     first = int(run.first_divergence[0])
     diverged = first >= 0

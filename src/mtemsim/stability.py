@@ -43,6 +43,11 @@ UNDERFLOW_FLOOR = 1e-300
 
 _MIN_FIT_POINTS = 10
 
+# The lemma verifiers' fixed settings
+LIPSCHITZ_RADIUS_MULTIPLE = 10.0  # state pairs are sampled out to this multiple of h
+LIPSCHITZ_REL_SLACK = 1e-9  # a difference quotient may exceed 3 L_h by this relative slack
+LAMBDA_TOLERANCE = 1e-6  # a sampled supremum may exceed -lambda by this much
+
 
 @dataclass(frozen=True)
 class MomentEstimate:
@@ -154,8 +159,7 @@ def run_stability_mc(
     Keywords (``refinement``, ``workers``, ...) go to ``run_paths``.  Terminal
     norms at or below ``UNDERFLOW_FLOOR`` are floored there and counted as censored.
     """
-    result = _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, want_terminal=True,
-                         **kwargs)
+    result = _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, **kwargs)
     return StabilityRun(_moment_estimate(result, p), _pathwise_summary(result))
 
 
@@ -191,7 +195,7 @@ def estimate_as_exponent(
     if steps * delta < 1.0:
         raise InputError(f"terminal time {steps * delta} must be >= 1 for a pathwise exponent")
     radius = scheme_radius(model, policy_or_radius, scheme, delta)
-    return _pathwise_summary(run_paths(model, radius, x0, delta, steps, paths, seed, want_terminal=True, **kwargs))
+    return _pathwise_summary(run_paths(model, radius, x0, delta, steps, paths, seed, **kwargs))
 
 
 def fit_exponent(estimate: MomentEstimate, window: tuple[float, float], floor: float = UNDERFLOW_FLOOR) -> ExponentFit:
@@ -280,33 +284,28 @@ def verify_lemma_global_lipschitz(
     model: SdeModel,
     radius: float,
     trials: int = 100_000,
-    radius_multiple: float = 10.0,
     seed: int = 0,
-    rel_slack: float = 1e-9,
 ) -> GlobalLipschitzReport:
     """Sample state pairs and bound the truncated difference quotients by 3 L_h.
 
     Pairs are stratified over the three geometric cases (both inside the
-    ball, both outside, straddling) so every branch of the truncation is
-    exercised.  This is a theorem, not a statistic: a single violating pair
-    beyond the relative slack fails the report.  A sampled state whose
+    ball, both outside out to ``LIPSCHITZ_RADIUS_MULTIPLE`` h, straddling) so
+    every branch of the truncation is exercised.  This is a theorem, not a
+    statistic: a single violating pair beyond the relative slack
+    ``LIPSCHITZ_REL_SLACK`` fails the report.  A sampled state whose
     truncated drift or diffusion is not finite, or a pair whose difference
     quotient overflows, raises ``EvaluationError``.
     """
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
-    if not radius_multiple > 1.0:
-        raise InputError(f"radius_multiple must exceed 1, got {radius_multiple}")
     h = float(radius)
-    if not 0.0 < h < np.inf:
-        raise InputError(f"radius must be positive and finite, got {radius}")
+    outer = LIPSCHITZ_RADIUS_MULTIPLE * h
+    if not (0.0 < h and outer < np.inf):  # h itself too
+        raise InputError(f"radius must be positive and finite, got {radius}, and so must 10 h")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     n_inside = trials // 3
     n_outside = trials // 3
     n_straddle = trials - n_inside - n_outside
-    outer = radius_multiple * h
-    if not 0.0 < outer < np.inf:
-        raise InputError(f"radius_multiple * radius must be positive and finite, got {radius_multiple} * {radius}")
 
     cases = ((n_inside, (0.0, h), (0.0, h)), (n_outside, (h, outer), (h, outer)), (n_straddle, (0.0, h), (h, outer)))
     blocks = [_pair_block(rng, model, rng.uniform(*a, n), rng.uniform(*b, n)) for n, a, b in cases if n]
@@ -326,10 +325,9 @@ def verify_lemma_global_lipschitz(
     ratio_f, ratio_g = (float(r) for r in ratios.max(axis=0))
 
     bound = 3.0 * float(model.lipschitz_bound(h))
-    return GlobalLipschitzReport(
-        h, bound, rel_slack, int(gaps.size), n_inside, n_outside, n_straddle,
-        ratio_f, ratio_g, ratio_f <= bound * (1.0 + rel_slack), ratio_g <= bound * (1.0 + rel_slack),
-    )
+    limit = bound * (1.0 + LIPSCHITZ_REL_SLACK)
+    return GlobalLipschitzReport(h, bound, LIPSCHITZ_REL_SLACK, int(gaps.size), n_inside, n_outside, n_straddle,
+                                 ratio_f, ratio_g, ratio_f <= limit, ratio_g <= limit)
 
 
 @dataclass(frozen=True)
@@ -352,13 +350,12 @@ def verify_lemma_lambda_preserved(
     p: float,
     lam: float,
     seed: int = 0,
-    tolerance: float = 1e-6,
 ) -> LambdaPreservationReport:
     """Sample the stability functional of the truncated coefficients.
 
     The states are those of ``SamplingPlan(r_min=h / 100, r_max=100 h,
     seed=seed)``, spanning both sides of the truncation ball.  The verdict
-    passes when the sampled supremum stays at or below -lam + tolerance,
+    passes when the sampled supremum stays at or below -lam + ``LAMBDA_TOLERANCE``,
     i.e. truncation preserved the asserted decay rate.  A sampled value that
     is not finite raises ``EvaluationError``.
     """
@@ -371,5 +368,5 @@ def verify_lemma_lambda_preserved(
     values = _sampled_functional(points, lambda s: truncated_batch(model.drift, s, h),
                                  lambda s: truncated_batch(model.diffusion, s, h), p)
     sup = float(np.max(values))
-    return LambdaPreservationReport(h, p, float(lam), sup, float(np.min(values)), int(values.size), tolerance,
-                                    sup <= -lam + tolerance)
+    return LambdaPreservationReport(h, p, float(lam), sup, float(np.min(values)), int(values.size),
+                                    LAMBDA_TOLERANCE, sup <= -lam + LAMBDA_TOLERANCE)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BracketError, InputError
-from .models import SdeModel, as_state, state_norms
+from .models import SdeModel, _check_finite, as_state, state_norms
 
 __all__ = [
     "TruncationPolicy",
@@ -212,18 +212,26 @@ def truncated_batch(coefficient, xs: np.ndarray, radius, norms: np.ndarray | Non
     return outward * np.asarray(coefficient(inward * xs), dtype=float)
 
 
-def eval_f_delta(model: SdeModel, policy_or_radius, x, delta: float | None = None) -> np.ndarray:
-    """Truncated drift at a single state."""
+def _at_state(model: SdeModel, policy_or_radius, x, delta: float | None, evaluate, what: str) -> np.ndarray:
+    """``evaluate(h, xs)`` at the one-row batch ``xs`` of state ``x``, silent but for ``EvaluationError``."""
     h = resolve_radius(policy_or_radius, delta)
     xs = as_state(model, x)[None, :]
-    return np.array(truncated_batch(model.drift, xs, h)[0])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value = np.array(evaluate(h, xs)[0])
+    _check_finite(value, what, xs)
+    return value
+
+
+def eval_f_delta(model: SdeModel, policy_or_radius, x, delta: float | None = None) -> np.ndarray:
+    """Truncated drift at a single state; ``EvaluationError`` if it is not finite."""
+    return _at_state(model, policy_or_radius, x, delta, lambda h, xs: truncated_batch(model.drift, xs, h),
+                     "truncated drift")
 
 
 def eval_g_delta(model: SdeModel, policy_or_radius, x, delta: float | None = None) -> np.ndarray:
-    """Truncated diffusion at a single state."""
-    h = resolve_radius(policy_or_radius, delta)
-    xs = as_state(model, x)[None, :]
-    return np.array(truncated_batch(model.diffusion, xs, h)[0])
+    """Truncated diffusion at a single state; ``EvaluationError`` if it is not finite."""
+    return _at_state(model, policy_or_radius, x, delta, lambda h, xs: truncated_batch(model.diffusion, xs, h),
+                     "truncated diffusion")
 
 
 @dataclass(frozen=True)

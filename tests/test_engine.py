@@ -38,22 +38,22 @@ CAPTURED_ON_NUMPY = "2.4.6"
 # (x0, moment order, overflow guard): at x0 = 1000 and x0 = 50 every em path
 # diverges, at x0 = 3 only some do.  Orders 0 and -0.5 make 0 ** p nonzero.
 CONFIGS = [(1000.0, 0.5, 1e10), (1000.0, 0.0, 1e10), (50.0, -0.5, 1e4), (3.0, 0.25, 1e10)]
-LAYOUTS = [(4, 512), (40, 16), (600, 512)]  # (paths, chunk_paths)
+LAYOUTS = [(4, 512), (40, 16), (600, 512)]  # (paths, CHUNK_PATHS)
 DIGEST = "164b7a2362224e576297d03e0523136117d23e082dfb281ea3317217178f8a73"
 
 
 @pytest.mark.skipif(np.__version__ != CAPTURED_ON_NUMPY,
                     reason=f"digest was captured on numpy {CAPTURED_ON_NUMPY}")
-def test_fully_diverged_chunks_keep_their_bytes():
+def test_fully_diverged_chunks_keep_their_bytes(monkeypatch):
     ex41 = m.example41()
     digest = hashlib.sha256()
     all_diverged = 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for x0, p, guard in CONFIGS:
             for paths, chunk in LAYOUTS:
-                r = run_paths(ex41, np.inf, x0, 5e-3, 300, paths, 9, 1, moment_p=p,
-                              want_terminal=True, record_paths=paths, overflow_guard=guard,
-                              chunk_paths=chunk)
+                monkeypatch.setattr(engine, "OVERFLOW_GUARD", guard)
+                monkeypatch.setattr(engine, "CHUNK_PATHS", chunk)
+                r = run_paths(ex41, np.inf, x0, 5e-3, 300, paths, 9, 1, moment_p=p, record_paths=paths)
                 all_diverged += r.diverged_paths == paths
                 for a in (r.first_divergence, r.terminal_norm, r.moment_sum,
                           r.moment_sqsum, r.alive, r.states):
@@ -62,9 +62,9 @@ def test_fully_diverged_chunks_keep_their_bytes():
     assert digest.hexdigest() == DIGEST
 
 
-def test_fully_diverged_run_ends_with_zero_moments():
-    r = run_paths(m.example41(), np.inf, 1000.0, 5e-3, 300, 40, 9, 1, moment_p=0.5,
-                  want_terminal=True, chunk_paths=16)
+def test_fully_diverged_run_ends_with_zero_moments(monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 16)
+    r = run_paths(m.example41(), np.inf, 1000.0, 5e-3, 300, 40, 9, 1, moment_p=0.5)
     last = int(r.first_divergence.max())
     assert r.diverged_paths == 40 and last < 300
     assert np.all(r.alive[last:] == 0)
@@ -92,11 +92,12 @@ class _InFlight:
                 self.active -= 1
 
 
-def test_chunks_step_one_at_a_time_with_the_same_bytes():
+def test_chunks_step_one_at_a_time_with_the_same_bytes(monkeypatch):
     probe = _InFlight()
     model = SdeModel("probe", 1, probe, lambda x: 0.5 * x, lambda r: 1.0 + 3.0 * r * r)
-    runs = [run_paths(model, 1.5, 2.0, 1e-2, 40, 48, 5, 2, moment_p=0.5, want_terminal=True,
-                      record_paths=48, chunk_paths=8, workers=workers) for workers in (1, 4)]
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 8)
+    runs = [run_paths(model, 1.5, 2.0, 1e-2, 40, 48, 5, 2, moment_p=0.5, record_paths=48, workers=workers)
+            for workers in (1, 4)]
     assert probe.peak == 1
     single, pooled = runs
     for name in ("first_divergence", "terminal_norm", "moment_sum", "moment_sqsum", "alive", "states"):
@@ -110,16 +111,17 @@ def _arrays(r):
 
 @pytest.mark.skipif(np.__version__ != CAPTURED_ON_NUMPY,
                     reason=f"digest was captured on numpy {CAPTURED_ON_NUMPY}")
-def test_fully_diverged_runs_keep_their_bytes_on_two_workers():
+def test_fully_diverged_runs_keep_their_bytes_on_two_workers(monkeypatch):
     # the stepping thread stops early here, and must release the drawing thread
     ex41 = m.example41()
     digest = hashlib.sha256()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for x0, p, guard in CONFIGS:
             for paths, chunk in LAYOUTS:
-                r = run_paths(ex41, np.inf, x0, 5e-3, 300, paths, 9, 1, moment_p=p,
-                              want_terminal=True, record_paths=paths, overflow_guard=guard,
-                              chunk_paths=chunk, workers=2)
+                monkeypatch.setattr(engine, "OVERFLOW_GUARD", guard)
+                monkeypatch.setattr(engine, "CHUNK_PATHS", chunk)
+                r = run_paths(ex41, np.inf, x0, 5e-3, 300, paths, 9, 1, moment_p=p, record_paths=paths,
+                              workers=2)
                 for a in _arrays(r):
                     digest.update(np.ascontiguousarray(a).tobytes())
     assert digest.hexdigest() == DIGEST
@@ -162,11 +164,12 @@ def _error_within(seconds, fn):
 
 @pytest.mark.parametrize("workers", [2, 4])
 @pytest.mark.parametrize("failing_call", [30, 700])  # in the first block, in a later one
-def test_a_step_that_raises_reaches_the_caller_and_ends_every_thread(workers, failing_call):
+def test_a_step_that_raises_reaches_the_caller_and_ends_every_thread(workers, failing_call, monkeypatch):
     baseline = threading.active_count()
     model = SdeModel("boom", 1, _FailsOnCall(failing_call), lambda x: 0.5 * x, lambda r: 1.0 + 3.0 * r * r)
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 8)
     error = _error_within(20, lambda: run_paths(model, 1.5, 2.0, 1e-2, 2000, 48, 5, 1, moment_p=0.5,
-                                                chunk_paths=8, workers=workers))
+                                                workers=workers))
     assert isinstance(error, _Boom)
     assert threading.active_count() == baseline
 
@@ -182,8 +185,8 @@ def test_a_draw_that_raises_reaches_the_caller_and_ends_every_thread(workers, mo
         return path_generator(master_seed, path_index)
 
     monkeypatch.setattr(engine, "path_generator", failing)
-    error = _error_within(20, lambda: run_paths(m.example41(), 1.5, 2.0, 1e-2, 2000, 48, 5, 1,
-                                                chunk_paths=8, workers=workers))
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 8)
+    error = _error_within(20, lambda: run_paths(m.example41(), 1.5, 2.0, 1e-2, 2000, 48, 5, 1, workers=workers))
     assert isinstance(error, _Boom)
     assert threading.active_count() == baseline
 
@@ -194,10 +197,11 @@ def test_many_threads_switching_often_keep_the_bytes(monkeypatch):
     # starts: a segment drawn twice or never would change the bytes, a lost
     # wake-up would hang the run
     monkeypatch.setattr(engine, "BLOCK_STEPS", 2)
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 8)
 
     def run(workers):
-        return run_paths(m.example41(), 1.5, 2.0, 1e-2, 400, 300, 17, 2, moment_p=0.5,
-                         want_terminal=True, record_paths=9, chunk_paths=8, workers=workers)
+        return run_paths(m.example41(), 1.5, 2.0, 1e-2, 400, 300, 17, 2, moment_p=0.5, record_paths=9,
+                         workers=workers)
 
     expected = run(1)
     interval = sys.getswitchinterval()
@@ -219,13 +223,13 @@ def test_block_window_and_draw_group_change_no_byte(paths, refinement, monkeypat
     runs = [(1.5, 2.0), (np.inf, 3.0), (np.inf, 1000.0)]
     # mtem and em as lanes of one run; at x0 = 1e200 both lose every path at once
     stacked = [3.0, 1000.0, 1e200]
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 128)
 
     def run(radius, x0, workers):
         single = np.ndim(radius) == 0
         with np.errstate(over="ignore", invalid="ignore"):
             return run_paths(ex41, radius, x0, 5e-3, 60, paths, 13, refinement,
-                             moment_p=0.5 if single else None, want_terminal=True,
-                             record_paths=paths // 2 + 3, chunk_paths=128, workers=workers)
+                             moment_p=0.5 if single else None, record_paths=paths // 2 + 3, workers=workers)
 
     expected = [run(radius, x0, 1) for radius, x0 in runs]
     assert expected[1].diverged_paths not in (0, paths) and expected[2].diverged_paths == paths
@@ -252,9 +256,10 @@ def test_several_radii_refuse_moment_sums():
 
 @pytest.mark.parametrize("radius", [-1.0, np.nan, 0.0, (1.5, -2.0), (1.5, np.nan)],
                          ids=["negative", "nan", "zero", "lane-negative", "lane-nan"])
-def test_a_radius_that_is_not_positive_is_refused_before_any_drawer_starts(radius):
+def test_a_radius_that_is_not_positive_is_refused_before_any_drawer_starts(radius, monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 2)
     with pytest.raises(InputError, match="radius must be positive"):
-        run_paths(m.example41(), radius, 2.0, 5e-4, 20, 4, 1, chunk_paths=2, workers=2)
+        run_paths(m.example41(), radius, 2.0, 5e-4, 20, 4, 1, workers=2)
     with pytest.raises(ChildProcessError):  # no child left, running or unreaped
         os.waitpid(-1, os.WNOHANG)
 
@@ -265,8 +270,7 @@ def test_run_memory_is_bounded_by_window_and_block_not_by_steps(workers):
     radius = default_policy(ex41).radius(5e-4)
     tracemalloc.start()
     try:
-        run_paths(ex41, radius, 2.0, 5e-4, 10_000, 1024, 1, 1, moment_p=0.5, want_terminal=True,
-                  workers=workers)
+        run_paths(ex41, radius, 2.0, 5e-4, 10_000, 1024, 1, 1, moment_p=0.5, workers=workers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -297,11 +301,12 @@ def test_no_draw_runs_while_a_block_is_stepped(workers, monkeypatch):
             return self.generator.standard_normal(**kwargs)
 
     monkeypatch.setattr(engine, "BLOCK_STEPS", 5)
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 8)
     monkeypatch.setattr(engine, "step_paths", slow_step)
     monkeypatch.setattr(engine, "path_generator", lambda seed, i: Checked(path_generator(seed, i)))
     box = {}
     assert _error_within(20, lambda: box.setdefault("run", run_paths(
-        m.example41(), 1.5, 2.0, 1e-2, 40, 64, 3, 2, moment_p=0.5, chunk_paths=8, workers=workers))) is None
+        m.example41(), 1.5, 2.0, 1e-2, 40, 64, 3, 2, moment_p=0.5, workers=workers))) is None
     assert box["run"].alive[-1] == 64  # 8 blocks stepped over 8 segments, every draw checked
 
 
@@ -334,32 +339,34 @@ def test_lanes_that_freeze_at_different_steps_each_step_as_their_path_alone(case
     delta, steps, paths, seed, radii = 0.02, 30, 24, 7, (2.0, np.inf)
     monkeypatch.setattr(engine, "BLOCK_STEPS", 3)  # freezes on and off block edges
     monkeypatch.setattr(engine, "WINDOW_SEGMENTS", 2)  # windows of 8 paths: 3 of them
-    both = run_paths(model, radii, x0, delta, steps, paths, seed, 1, want_terminal=True, record_paths=paths,
-                     overflow_guard=guard, chunk_paths=4, workers=workers)
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 4)
+    monkeypatch.setattr(engine, "OVERFLOW_GUARD", guard)  # simulate_path's lanes read it too
+    both = run_paths(model, radii, x0, delta, steps, paths, seed, 1, record_paths=paths, workers=workers)
     em_first = both.split(2)[1].first_divergence
     assert np.unique(em_first[em_first >= 0]).size >= 5 and np.count_nonzero(em_first < 0) >= 2
     for lane in range(both.paths):
         radius, i = radii[lane // paths], lane % paths
         rec = m.simulate_path(model, radius, "mtem" if radius < np.inf else "em", x0, delta, steps,
-                              m.BrownianPath.generate(seed, i, delta, steps, refinement=1), guard)
+                              m.BrownianPath.generate(seed, i, delta, steps, refinement=1))
         first = int(both.first_divergence[lane])
         assert first == (-1 if rec.first_divergence_step is None else rec.first_divergence_step)
         assert rec.states.tobytes() == both.states[lane, :rec.states.shape[0]].tobytes()
         frozen = both.states[lane, rec.states.shape[0]:]
         assert np.all(frozen == 0.0) and not np.signbit(frozen).any()
         assert np.isnan(both.terminal_norm[lane]) == (first >= 0)
-    em = run_paths(model, np.inf, x0, delta, steps, paths, seed, 1, moment_p=0.5, overflow_guard=guard,
-                   chunk_paths=4, workers=workers)
+    em = run_paths(model, np.inf, x0, delta, steps, paths, seed, 1, moment_p=0.5, workers=workers)
     assert em.first_divergence.tobytes() == em_first.tobytes()
     living = [np.count_nonzero((em_first < 0) | (em_first > k)) for k in range(steps + 1)]
     assert em.alive.tolist() == living
 
 
-def test_the_callers_errstate_holds_on_every_worker_thread():
+def test_the_callers_errstate_holds_on_every_worker_thread(monkeypatch):
     # every em path from x0 = 50 diverges, and 0 ** -0.5 divides by zero
+    monkeypatch.setattr(engine, "OVERFLOW_GUARD", 1e4)
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 16)
+
     def run(workers):
-        return run_paths(m.example41(), np.inf, 50.0, 5e-3, 300, 40, 9, 1, moment_p=-0.5,
-                         want_terminal=True, record_paths=40, overflow_guard=1e4, chunk_paths=16,
+        return run_paths(m.example41(), np.inf, 50.0, 5e-3, 300, 40, 9, 1, moment_p=-0.5, record_paths=40,
                          workers=workers)
 
     with warnings.catch_warnings(), np.errstate(divide="ignore", invalid="ignore"):
@@ -384,7 +391,8 @@ def test_draws_run_in_drawer_processes_from_two_workers_on(workers, monkeypatch)
             return self.generator.standard_normal(**kwargs)
 
     monkeypatch.setattr(engine, "path_generator", lambda seed, i: Recorded(path_generator(seed, i)))
-    run_paths(m.example41(), 1.5, 2.0, 1e-2, 40, 64, 3, 2, moment_p=0.5, chunk_paths=8, workers=workers)
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 8)
+    run_paths(m.example41(), 1.5, 2.0, 1e-2, 40, 64, 3, 2, moment_p=0.5, workers=workers)
     assert seen[:] == (b"\x01\x00" if workers == 1 else b"\x00\x01")
 
 
@@ -408,11 +416,12 @@ def test_no_drawer_outlives_its_run(workers, ending, monkeypatch):
         return path_generator(master_seed, path_index)
 
     monkeypatch.setattr(engine, "BLOCK_STEPS", 5)
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 8)
     monkeypatch.setattr(engine, "step_paths", step)
     monkeypatch.setattr(engine, "path_generator", generator)
     expected = {"draw raises": _Boom, "step raises": _Boom, "interrupt": KeyboardInterrupt}.get(ending)
     try:
-        run_paths(m.example41(), 1.5, 2.0, 1e-2, 2000, 48, 5, 1, moment_p=0.5, chunk_paths=8, workers=workers)
+        run_paths(m.example41(), 1.5, 2.0, 1e-2, 2000, 48, 5, 1, moment_p=0.5, workers=workers)
     except BaseException as exc:  # noqa: BLE001 - checked below
         assert type(exc) is expected
     else:
@@ -432,8 +441,9 @@ def test_a_drawer_error_that_does_not_unpickle_arrives_with_its_traceback(monkey
         raise _RaisesOnRebuild(path_index, "no generator")
 
     monkeypatch.setattr(engine, "path_generator", failing)
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 8)
     with pytest.raises(RuntimeError, match=r"_RaisesOnRebuild: path \d+: no generator"):
-        run_paths(m.example41(), 1.5, 2.0, 1e-2, 20, 48, 5, 1, chunk_paths=8, workers=2)
+        run_paths(m.example41(), 1.5, 2.0, 1e-2, 20, 48, 5, 1, workers=2)
 
 
 def test_a_caller_that_ignores_sigchld_still_gets_its_result():
@@ -467,10 +477,11 @@ def test_without_fork_the_caller_draws_the_same_bytes(workers, monkeypatch):
 
     def run(workers):
         with np.errstate(over="ignore", invalid="ignore"):
-            return run_paths(m.example41(), np.inf, 3.0, 5e-3, 60, 100, 13, 2, moment_p=0.5, want_terminal=True,
-                             record_paths=40, chunk_paths=8, workers=workers)
+            return run_paths(m.example41(), np.inf, 3.0, 5e-3, 60, 100, 13, 2, moment_p=0.5, record_paths=40,
+                             workers=workers)
 
     monkeypatch.setattr(engine, "BLOCK_STEPS", 7)
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 8)
     monkeypatch.setattr(engine, "WINDOW_SEGMENTS", 4)
     expected = run(1)
     assert 0 < expected.diverged_paths < 100

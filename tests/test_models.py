@@ -163,6 +163,14 @@ def test_sampling_plan_validation():
         SamplingPlan(radii_per_decade=0)
 
 
+@pytest.mark.parametrize("r_min, r_max", [(1e-300, 1e300), (1.0, math.inf), (np.float64(1e-300), np.float64(1e300))],
+                         ids=["ratio-overflows", "r_max-infinite", "numpy-floats"])
+def test_a_plan_whose_ratio_overflows_is_an_input_error(ex41, r_min, r_max):
+    # warnings are errors in this suite: the check itself must not warn either
+    with pytest.raises(InputError, match="r_max / r_min must be finite"):
+        m.estimate_lambda(ex41, 0.5, SamplingPlan(r_min=r_min, r_max=r_max))
+
+
 def test_sample_states_range_and_determinism():
     plan = SamplingPlan(r_min=0.01, r_max=10.0, seed=4)
     pts = sample_states(plan, 3)

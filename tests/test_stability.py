@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mtemsim as m
+from mtemsim import engine
 from mtemsim.engine import run_paths
 from mtemsim.errors import EstimationError, EvaluationError, InputError, MtemError
 from mtemsim.models import SamplingPlan, functional_values, sample_states
@@ -168,12 +169,10 @@ def test_run_stability_mc_shares_paths(ex41, ex41_policy):
     np.testing.assert_array_equal(run.pathwise.gammas, separate_a.gammas)
 
 
-def test_worker_count_never_changes_results(ex41, ex41_policy):
-    runs = [
-        m.run_stability_mc(ex41, ex41_policy, "mtem", 0.5, 2.0, 5e-4, 500, 700, 10,
-                           workers=w, chunk_paths=128)
-        for w in (1, 3, 8)
-    ]
+def test_worker_count_never_changes_results(ex41, ex41_policy, monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 128)  # 6 segments: workers 3 and 8 share them differently
+    runs = [m.run_stability_mc(ex41, ex41_policy, "mtem", 0.5, 2.0, 5e-4, 500, 700, 10, workers=w)
+            for w in (1, 3, 8)]
     for other in runs[1:]:
         np.testing.assert_array_equal(runs[0].moments.means, other.moments.means)
         np.testing.assert_array_equal(runs[0].moments.stderrs, other.moments.stderrs)
@@ -278,6 +277,9 @@ RADIUS_TAKERS = {
     "run_paths": lambda model, h: run_paths(model, h, 1.0, 1e-3, 5, 3, 1),
     "global_lipschitz": lambda model, h: m.verify_lemma_global_lipschitz(model, h, trials=30),
     "lambda_preserved": lambda model, h: m.verify_lemma_lambda_preserved(model, h, 0.5, 1.0),
+    "eval_f_delta": lambda model, h: m.eval_f_delta(model, h, 1.0),
+    "eval_g_delta": lambda model, h: m.eval_g_delta(model, h, 1.0),
+    "step_mtem": lambda model, h: m.step_mtem(model, h, 1.0, 1e-3, 0.1),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mtemsim as m
-from mtemsim.errors import BracketError, InputError
+from mtemsim.errors import BracketError, EvaluationError, InputError
 from mtemsim.models import state_norms
 from mtemsim.truncation import resolve_radius, truncated_batch
 
@@ -103,6 +103,18 @@ def test_eval_accepts_policy_with_delta(ex41, ex41_policy):
     np.testing.assert_array_equal(direct, via_policy)
     with pytest.raises(InputError):
         m.eval_f_delta(ex41, ex41_policy, 3.0)  # policy without a step size
+
+
+# Warnings are errors in this suite, so each case also checks that no numpy warning comes first.
+@pytest.mark.parametrize("evaluate, match", [
+    (lambda model, h, x: m.eval_f_delta(model, h, x), "truncated drift"),
+    (lambda model, h, x: m.eval_g_delta(model, h, x), "truncated diffusion"),
+    (lambda model, h, x: m.step_mtem(model, h, x, 1e-3, 0.1), "truncated Euler step"),
+], ids=["eval_f_delta", "eval_g_delta", "step_mtem"])
+@pytest.mark.parametrize("radius, x", [(math.inf, 1e200), (1e-323, 1.0)], ids=["f(x)-overflows", "x/h-overflows"])
+def test_a_single_state_value_that_is_not_finite_is_an_evaluation_error(ex41, evaluate, match, radius, x):
+    with pytest.raises(EvaluationError, match=f"{match} is not finite at x = "):
+        evaluate(ex41, radius, x)
 
 
 def test_resolve_radius_rejects_nonpositive():
