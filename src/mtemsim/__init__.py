@@ -14,6 +14,7 @@ from .errors import (
     BracketError,
     ConfigError,
     DomainError,
+    DrawerError,
     EstimationError,
     EvaluationError,
     InputError,
@@ -45,14 +46,13 @@ from .truncation import (
     verify_step_condition,
 )
 from .schemes import (
-    OVERFLOW_GUARD,
     BrownianPath,
     TrajectoryRecord,
     interpolate_continuous_mtem,
     interpolate_step_process,
-    simulate_path,
     step_mtem,
 )
+from .engine import OVERFLOW_GUARD, simulate_path
 from .stability import (
     ExponentFit,
     MomentEstimate,
@@ -70,7 +70,7 @@ from .cli import RunConfig, parse_config, run_command
 __all__ = [
     "__version__",
     "MtemError", "InputError", "DomainError", "BracketError",
-    "EvaluationError", "EstimationError", "ConfigError",
+    "EvaluationError", "EstimationError", "ConfigError", "DrawerError",
     "SdeModel", "StabilityParams", "SamplingPlan", "MODEL_KEYS",
     "evaluate_drift", "evaluate_diffusion", "check_trivial_solution",
     "stability_functional", "estimate_lambda", "cross_check_lambda",

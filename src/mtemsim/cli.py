@@ -8,8 +8,8 @@ formatted with one ``%`` string per file: ``%.17g`` for floats (17
 significant digits), ``%d`` for counts, ``%s`` for names and verdicts.
 Nothing in the outputs depends on time, locale, or worker count.
 
-Exit codes: 0 success, 2 configuration error (also for outputs too large to
-allocate or for numpy to index), 3 verification failure, 4 estimation failure.
+Exit codes: 0 success, 2 configuration error (or outputs too large to allocate
+or index), 3 verification failure, 4 estimation failure, 5 a dead drawer.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .engine import run_paths
-from .errors import BracketError, ConfigError, DomainError, EstimationError, EvaluationError, InputError
+from .errors import BracketError, ConfigError, DomainError, DrawerError, EstimationError, EvaluationError, InputError
 from .models import MODEL_KEYS, SamplingPlan, SdeModel, estimate_lambda, get_model
 from .schemes import SCHEMES, scheme_radius
 from .stability import fit_exponent, run_stability_mc, verify_lemma_global_lipschitz, verify_lemma_lambda_preserved
@@ -347,6 +347,9 @@ def main(argv=None) -> int:
     except (EstimationError, EvaluationError) as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return 4
+    except DrawerError as exc:
+        print(f"drawer error: {exc}", file=sys.stderr)
+        return 5
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

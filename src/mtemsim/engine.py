@@ -13,9 +13,9 @@ more than its draws save.  Memory is bounded by the window times the block.
 
 Moment sums are reduced per segment at every step with a fixed operation
 order, and merged segment by segment in path order with compensated
-summation.  Together with the per-path seed derivation in :mod:`.schemes`
-this makes every output bit-identical for any worker count, block length or
-window.
+summation.  With the per-path seeds of :mod:`.schemes`, the layer whose kernel
+this module runs, every output is bit-identical for any worker count, block
+length or window.
 """
 
 from __future__ import annotations
@@ -36,12 +36,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DrawerError, InputError
 from .models import SdeModel, as_state, state_norms
-from .schemes import OVERFLOW_GUARD, advance_states, path_generator
+from .schemes import BrownianPath, TrajectoryRecord, advance_states, path_generator, scheme_radius
 from .truncation import UNTRUNCATED, resolve_radius
 
-__all__ = ["CHUNK_PATHS", "Lanes", "RunResult", "run_paths", "step_paths"]
+__all__ = ["CHUNK_PATHS", "OVERFLOW_GUARD", "Lanes", "RunResult", "run_paths", "simulate_path", "step_paths"]
+
+# Trajectories are flagged as diverged, not aborted, beyond this magnitude;
+# the explicit EM baseline is expected to blow up on superlinear models.
+OVERFLOW_GUARD = 1e10
 
 # Fixed segment width: the unit of the moment reductions and of the work a drawer
 # owns.  Must not depend on the worker count or reductions would change with it.
@@ -246,6 +250,37 @@ def step_paths(lanes: Lanes, coarse: np.ndarray) -> bool:
     return not frozen
 
 
+def simulate_path(
+    model: SdeModel,
+    policy_or_radius,
+    scheme: str,
+    x0,
+    delta: float,
+    steps: int,
+    path: BrownianPath,
+) -> TrajectoryRecord:
+    """Advance one path for ``steps`` coarse steps of size ``delta``.
+
+    The record stops, with the divergence flag set, at the first state whose
+    magnitude exceeds ``OVERFLOW_GUARD`` or that has a non-finite coordinate.
+    """
+    if steps < 1:
+        raise InputError(f"steps must be >= 1, got {steps}")
+    if path.delta != delta:
+        raise InputError(f"path was generated with delta = {path.delta}, not {delta}")
+    if path.steps < steps:
+        raise InputError(f"path holds {path.steps} steps, {steps} requested")
+    radius = scheme_radius(model, policy_or_radius, scheme, delta)
+    run = RunResult.empty(1, steps, delta, model.dimension, record_paths=1)
+    step_paths(Lanes(model, radius, as_state(model, x0), delta, run), path.coarse()[None, :steps])
+    states = run.states[0]
+    first = int(run.first_divergence[0])
+    diverged = first >= 0
+    if diverged:
+        states = states[: first + 1]
+    return TrajectoryRecord(scheme, states[0].copy(), delta, states, diverged, first if diverged else None)
+
+
 def run_paths(
     model: SdeModel,
     radius,
@@ -281,7 +316,8 @@ def run_paths(
     wait on their drawers, then at a barrier whose action sends out block k + 1
     and steps block k; otherwise the caller draws each block, then steps it.
     A drawer's error is re-raised as its own type, or as a RuntimeError with
-    its traceback.  Every drawer is reaped before the call returns or raises.
+    its traceback, and a drawer that dies without replying raises DrawerError.
+    Every drawer is reaped before the call returns or raises.
     A size numpy cannot index raises MemoryError before anything is allocated.
     """
     if paths < 1:
@@ -388,7 +424,11 @@ def run_paths(
     def job(rank: int) -> None:
         try:
             while at[0] < paths:
-                if error := pickle.load(replies[rank]):  # blocks, GIL released, until the share is drawn
+                if not replies[rank].peek(1):  # blocks, GIL released, until the share is drawn or the drawer died
+                    code = os.waitstatus_to_exitcode(os.waitpid(pids[rank], 0)[1])  # -n: killed by signal n
+                    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                    raise DrawerError(f"drawer {rank} (pid {pids[rank]}) ended without replying, {how}")
+                if error := pickle.load(replies[rank]):
                     raise error
                 barrier.wait()  # the last thread to arrive steps the block
         except BaseException:

@@ -27,3 +27,7 @@ class EstimationError(MtemError):
 
 class ConfigError(MtemError):
     """A run configuration key is unknown, malformed, or inconsistent."""
+
+
+class DrawerError(MtemError):
+    """A drawer process ended without replying, as when a signal killed it."""

@@ -207,7 +207,7 @@ def sample_states(plan: SamplingPlan, dimension: int) -> np.ndarray:
     for i, r in enumerate(radii):
         seq = np.random.SeedSequence(entropy=plan.seed, spawn_key=(i,))
         rows, norms = _gaussian_directions(np.random.Generator(np.random.Philox(seq)), n_dir, dimension)
-        points[i * n_dir : (i + 1) * n_dir] = (r / norms)[:, None] * rows
+        points[i * n_dir : (i + 1) * n_dir] = r * (rows / norms[:, None])
     return points
 
 

@@ -1,8 +1,9 @@
-"""Brownian path generation and explicit time stepping.
+"""Brownian paths, the stepping kernel and the interpolants: the layer under :mod:`.engine`.
 
-Each path owns an independent random stream derived from
-``SeedSequence(entropy=master_seed, spawn_key=(path_index,))`` feeding a
-Philox counter-based bit generator; Gaussians come from numpy's
+Nothing here imports the engine, which owns the stepping loop, the overflow
+guard and ``simulate_path``.  Each path owns an independent random stream
+derived from ``SeedSequence(entropy=master_seed, spawn_key=(path_index,))``
+feeding a Philox counter-based bit generator; Gaussians come from numpy's
 ``Generator.standard_normal``.  That derivation is the package's pinned
 reproducibility contract: a (master seed, path index, step, refinement,
 horizon) tuple determines a trajectory bit-for-bit, independent of execution
@@ -17,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .models import SdeModel, as_state, state_norms
+from .models import SdeModel, state_norms
 from .truncation import _at_state, resolve_radius, truncation_factors
 
 __all__ = [
-    "OVERFLOW_GUARD",
     "DEFAULT_REFINEMENT",
     "SCHEMES",
     "BrownianPath",
@@ -30,14 +30,9 @@ __all__ = [
     "scheme_radius",
     "advance_states",
     "step_mtem",
-    "simulate_path",
     "interpolate_step_process",
     "interpolate_continuous_mtem",
 ]
-
-# Trajectories are flagged as diverged, not aborted, beyond this magnitude;
-# the explicit EM baseline is expected to blow up on superlinear models.
-OVERFLOW_GUARD = 1e10
 
 DEFAULT_REFINEMENT = 16
 
@@ -145,39 +140,6 @@ def step_mtem(model: SdeModel, policy_or_radius, x, delta: float, db: float) -> 
         raise InputError(f"step size must be positive, got {delta}")
     return _at_state(model, policy_or_radius, x, delta,
                      lambda h, xs: advance_states(model, h, xs, delta, np.array([float(db)])), "truncated Euler step")
-
-
-def simulate_path(
-    model: SdeModel,
-    policy_or_radius,
-    scheme: str,
-    x0,
-    delta: float,
-    steps: int,
-    path: BrownianPath,
-) -> TrajectoryRecord:
-    """Advance one path for ``steps`` coarse steps of size ``delta``.
-
-    The record stops, with the divergence flag set, at the first state whose
-    magnitude exceeds ``engine.OVERFLOW_GUARD`` or that has a non-finite coordinate.
-    """
-    if steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
-    if path.delta != delta:
-        raise InputError(f"path was generated with delta = {path.delta}, not {delta}")
-    if path.steps < steps:
-        raise InputError(f"path holds {path.steps} steps, {steps} requested")
-    from .engine import Lanes, RunResult, step_paths  # engine imports this module
-
-    radius = scheme_radius(model, policy_or_radius, scheme, delta)
-    run = RunResult.empty(1, steps, delta, model.dimension, record_paths=1)
-    step_paths(Lanes(model, radius, as_state(model, x0), delta, run), path.coarse()[None, :steps])
-    states = run.states[0]
-    first = int(run.first_divergence[0])
-    diverged = first >= 0
-    if diverged:
-        states = states[: first + 1]
-    return TrajectoryRecord(scheme, states[0].copy(), delta, states, diverged, first if diverged else None)
 
 
 def interpolate_step_process(record: TrajectoryRecord, t: float) -> np.ndarray:

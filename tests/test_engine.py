@@ -7,7 +7,8 @@ horizon; it is checked only on the numpy version it was captured on.
 
 From two workers on, forked drawer processes draw each block's increments
 while a thread of the caller's process steps every lane; no drawer outlives
-its run.  Without ``os.fork`` the calling thread draws, to the same bytes.
+its run, and one that dies without replying is a ``DrawerError``.  Without
+``os.fork`` the calling thread draws, to the same bytes.
 Neither the worker count, the block length nor the window changes an output
 byte, and memory does not grow with the number of steps.
 A run over several radii splits back into the runs under each radius alone.
@@ -16,6 +17,7 @@ A run over several radii splits back into the runs under each radius alone.
 import hashlib
 import mmap
 import os
+import re
 import signal
 import sys
 import threading
@@ -29,7 +31,8 @@ import pytest
 import mtemsim as m
 from mtemsim import engine
 from mtemsim.engine import run_paths
-from mtemsim.errors import InputError
+from mtemsim.cli import main
+from mtemsim.errors import DrawerError, InputError
 from mtemsim.models import SdeModel
 from mtemsim.truncation import default_policy
 
@@ -493,3 +496,71 @@ def test_without_fork_the_caller_draws_the_same_bytes(workers, monkeypatch):
     assert threading.active_count() == baseline
     with pytest.raises(ChildProcessError):  # no child was started
         os.waitpid(-1, os.WNOHANG)
+
+
+def _sq(x):
+    return np.sum(x * x, axis=-1, keepdims=True)
+
+
+_J = np.array([[0.0, -1.0], [1.0, 0.0]])  # the rotation by 90 degrees
+# d = 2: a cubic drift that turns about the origin, and a diffusion that grows like |x|^2
+SPIRAL = SdeModel("spiral", 2, lambda x: x + _sq(x) * (x @ _J.T), lambda x: np.sqrt(_sq(x) + 2.0) * x,
+                  lambda r: 1.0 + 3.0 * r * r)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("refinement", [1, 3])
+def test_a_two_dimensional_model_steps_each_lane_as_its_path_alone(refinement, workers, monkeypatch):
+    # 24 paths in segments of 4 and windows of 12, 30 steps in blocks of 4: from (3, 0.5) every mtem
+    # lane leaves the ball of radius 2, where it is truncated, and some em lanes freeze at steps on
+    # and off block edges
+    x0, delta, steps, paths, seed, radii = (3.0, 0.5), 0.02, 30, 24, 7, (2.0, np.inf)
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 4)
+    monkeypatch.setattr(engine, "BLOCK_STEPS", 4)
+    monkeypatch.setattr(engine, "WINDOW_SEGMENTS", 3)
+    both = run_paths(SPIRAL, radii, x0, delta, steps, paths, seed, refinement, record_paths=paths,
+                     workers=workers)
+    mtem, em = both.split(2)
+    assert mtem.diverged_paths == 0 and np.all(np.hypot.reduce(mtem.states, axis=-1).max(axis=1) > 2.0)
+    assert 5 <= em.diverged_paths < paths
+    for lane in range(both.paths):
+        radius, i = radii[lane // paths], lane % paths
+        rec = m.simulate_path(SPIRAL, radius, "mtem" if radius < np.inf else "em", x0, delta, steps,
+                              m.BrownianPath.generate(seed, i, delta, steps, refinement=refinement))
+        assert int(both.first_divergence[lane]) == (-1 if rec.first_divergence_step is None
+                                                    else rec.first_divergence_step)
+        assert rec.states.tobytes() == both.states[lane, :rec.states.shape[0]].tobytes()
+
+
+def _kill_the_drawer_of_path_700(monkeypatch):
+    """Make the drawer that opens path 700's stream SIGKILL itself there; the test's own process never does."""
+    parent, path_generator = os.getpid(), engine.path_generator
+
+    def generator(master_seed, path_index):
+        if path_index == 700 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return path_generator(master_seed, path_index)
+
+    monkeypatch.setattr(engine, "path_generator", generator)
+
+
+def test_a_drawer_that_dies_without_replying_is_a_drawer_error(monkeypatch):
+    # path 700 of 1,024 lies in the second segment of 512, which drawer 1 owns
+    baseline = threading.active_count()
+    _kill_the_drawer_of_path_700(monkeypatch)
+    error = _error_within(20, lambda: run_paths(m.example41(), 1.5, 2.0, 1e-2, 20, 1024, 5, 1, workers=2))
+    assert isinstance(error, DrawerError)
+    assert re.fullmatch(rf"drawer 1 \(pid \d+\) ended without replying, killed by signal {int(signal.SIGKILL)}",
+                        str(error))
+    assert threading.active_count() == baseline
+    with pytest.raises(ChildProcessError):  # both drawers reaped, the dead one too
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_cli_exits_5_with_one_line_when_a_drawer_dies(tmp_path, monkeypatch, capsys):
+    _kill_the_drawer_of_path_700(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--paths", "1024", "--steps", "20", "--refinement", "1", "--workers", "2"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("drawer error: drawer 1 (pid ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not list(tmp_path.iterdir())  # no CSV, no manifest

@@ -1,0 +1,63 @@
+"""The module layering: the engine runs on the schemes module, which imports nothing from it.
+
+The sources are parsed, not imported, so an import inside a function body
+counts as much as one at the top of a module.
+"""
+
+import ast
+from pathlib import Path
+
+import mtemsim as m
+from mtemsim import engine, schemes
+
+SRC = Path(m.__file__).parent
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text())
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules ``module`` imports anywhere in its source; ``__init__`` for the package itself."""
+    found = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("mtemsim")):
+            path = (node.module or "").removeprefix("mtemsim").lstrip(".")
+            if path:
+                found.add(path.split(".")[0])
+            else:  # from . import name: the package, and the module if name is one
+                found.add("__init__")
+                found.update(a.name for a in node.names if (SRC / f"{a.name}.py").exists())
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "mtemsim":
+                    found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found
+
+
+def test_schemes_imports_nothing_from_the_engine_at_any_depth():
+    reached, todo = set(), ["schemes"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(_package_imports(module))
+    assert "engine" not in reached and "__init__" not in reached
+    assert "schemes" in _package_imports("engine")
+
+
+def test_the_overflow_guard_is_assigned_in_the_engine_only():
+    assigned = {path.name for path in SRC.glob("*.py") for node in ast.walk(_tree(path.stem))
+                if isinstance(node, ast.Name) and node.id == "OVERFLOW_GUARD" and isinstance(node.ctx, ast.Store)}
+    assert assigned == {"engine.py"}
+    assert not hasattr(schemes, "OVERFLOW_GUARD") and not hasattr(schemes, "simulate_path")
+
+
+def test_the_package_exports_the_engines_guard_and_single_path_run():
+    imported = {alias.name: node.module for node in ast.walk(_tree("__init__"))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported["OVERFLOW_GUARD"] == imported["simulate_path"] == "engine"
+    assert m.OVERFLOW_GUARD is engine.OVERFLOW_GUARD
+    assert m.simulate_path is engine.simulate_path
+    assert {"OVERFLOW_GUARD", "simulate_path"} <= set(m.__all__) & set(engine.__all__)

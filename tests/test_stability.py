@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -257,12 +258,14 @@ def test_lambda_verifier_refuses_a_functional_that_is_not_finite():
     (lambda model, h: m.verify_lemma_global_lipschitz(model, h, trials=30), 1.7e306, "truncated drift or diffusion"),
     (lambda model, h: m.verify_lemma_lambda_preserved(model, h, 0.5, 1.0), 1e300, "stability functional"),
     (lambda model, h: m.verify_lemma_lambda_preserved(model, h, 0.5, 1.0), 1e-300, "stability functional"),
+    (lambda model, h: m.verify_lemma_lambda_preserved(model, h, 0.5, 1.0), 1e305, "stability functional"),
     (lambda model, h: m.estimate_lambda(model, 0.5, SamplingPlan(r_min=h / 1e100, r_max=h)), 1e300,
      "stability functional"),
 ], ids=["global_lipschitz_1e300", "global_lipschitz_1e305", "global_lipschitz_1.7e306", "lambda_preserved_1e300",
-        "lambda_preserved_1e-300", "estimate_lambda_1e300"])
+        "lambda_preserved_1e-300", "lambda_preserved_1e305", "estimate_lambda_1e300"])
 def test_a_sample_that_is_not_finite_is_an_evaluation_error_without_a_warning(ex41, evaluate, radius, match):
-    with pytest.raises(EvaluationError, match=f"{match} is not finite at x = "):
+    with warnings.catch_warnings(), pytest.raises(EvaluationError, match=f"{match} is not finite at x = "):
+        warnings.simplefilter("error")
         evaluate(ex41, radius)
 
 
