@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import __version__
 from .engine import run_paths
 from .errors import BracketError, ConfigError, DomainError, DrawerError, EstimationError, EvaluationError, InputError
-from .models import MODEL_KEYS, SamplingPlan, SdeModel, estimate_lambda, get_model
+from .models import MODEL_KEYS, SamplingPlan, SdeModel, _check_count, _check_seed, estimate_lambda, get_model
 from .schemes import SCHEMES, scheme_radius
 from .stability import fit_exponent, run_stability_mc, verify_lemma_global_lipschitz, verify_lemma_lambda_preserved
 from .truncation import default_policy, verify_step_condition
@@ -118,11 +118,12 @@ def _validate(config: RunConfig) -> RunConfig:
         raise ConfigError(f"p: must lie in (0, 1), got {config.p}")
     if not config.delta > 0.0:
         raise ConfigError(f"delta: must be positive, got {config.delta}")
-    for key in ("steps", "paths", "refinement"):  # numpy array sizes are int64
-        if not 1 <= getattr(config, key) < 2**63:
-            raise ConfigError(f"{key}: must lie in [1, 2**63), got {getattr(config, key)}")
-    if config.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {config.seed}")
+    try:  # the library's own rules, whose messages begin with the key
+        for key in ("steps", "paths", "refinement"):
+            _check_count(key, getattr(config, key))
+        _check_seed("seed", config.seed)
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
     if not math.isfinite(config.x0):
         raise ConfigError(f"x0: must be finite, got {config.x0}")
     lo, hi = config.window

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DrawerError, InputError
-from .models import SdeModel, as_state, state_norms
+from .models import SdeModel, _check_count, _check_seed, as_state, state_norms
 from .schemes import BrownianPath, TrajectoryRecord, advance_states, path_generator, scheme_radius
 from .truncation import UNTRUNCATED, resolve_radius
 
@@ -264,8 +264,7 @@ def simulate_path(
     The record stops, with the divergence flag set, at the first state whose
     magnitude exceeds ``OVERFLOW_GUARD`` or that has a non-finite coordinate.
     """
-    if steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
+    steps = _check_count("steps", steps)
     if path.delta != delta:
         raise InputError(f"path was generated with delta = {path.delta}, not {delta}")
     if path.steps < steps:
@@ -317,17 +316,17 @@ def run_paths(
     and steps block k; otherwise the caller draws each block, then steps it.
     A drawer's error is re-raised as its own type, or as a RuntimeError with
     its traceback, and a drawer that dies without replying raises DrawerError.
-    Every drawer is reaped before the call returns or raises.
-    A size numpy cannot index raises MemoryError before anything is allocated.
+    Every drawer is reaped before the call returns or raises.  A bad count or
+    seed, or a moment order that is not finite, raises InputError, and a size
+    numpy cannot index MemoryError, before anything is allocated.
     """
-    if paths < 1:
-        raise InputError(f"paths must be >= 1, got {paths}")
-    if steps < 1:
-        raise InputError(f"steps must be >= 1, got {steps}")
+    paths, steps = _check_count("paths", paths), _check_count("steps", steps)
+    refinement, record_paths = _check_count("refinement", refinement), _check_count("record_paths", record_paths, 0)
+    master_seed = _check_seed("master_seed", master_seed)
     if not delta > 0.0:
         raise InputError(f"step size must be positive, got {delta}")
-    if refinement < 1:
-        raise InputError(f"refinement must be >= 1, got {refinement}")
+    if moment_p is not None and not math.isfinite(moment_p):
+        raise InputError(f"moment order must be finite, got {moment_p}")
     copies = np.size(radius)
     if copies != 1 and (copies == 0 or moment_p is not None):
         raise InputError("give a radius, and a single one for moment sums")
@@ -425,8 +424,10 @@ def run_paths(
         try:
             while at[0] < paths:
                 if not replies[rank].peek(1):  # blocks, GIL released, until the share is drawn or the drawer died
-                    code = os.waitstatus_to_exitcode(os.waitpid(pids[rank], 0)[1])  # -n: killed by signal n
-                    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                    how = "exit status unknown"
+                    with contextlib.suppress(ChildProcessError):  # reaped already, as where SIGCHLD is ignored
+                        code = os.waitstatus_to_exitcode(os.waitpid(pids[rank], 0)[1])  # -n: killed by signal n
+                        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                     raise DrawerError(f"drawer {rank} (pid {pids[rank]}) ended without replying, {how}")
                 if error := pickle.load(replies[rank]):
                     raise error

@@ -42,6 +42,8 @@ __all__ = [
 
 Coefficient = Callable[[np.ndarray], np.ndarray]
 
+LAMBDA_TOLERANCE = 1e-6  # a sampled supremum may exceed -lambda by this much
+
 
 @dataclass(frozen=True)
 class SdeModel:
@@ -67,29 +69,20 @@ class SdeModel:
     lipschitz_bound: Callable[[float], float]
 
     def __post_init__(self):
-        if not isinstance(self.dimension, int) or self.dimension < 1:
-            raise InputError(f"dimension must be a positive integer, got {self.dimension!r}")
+        _check_count("dimension", self.dimension)
 
 
 @dataclass(frozen=True)
 class StabilityParams:
-    """Moment order p, decay rate lambda, and the slack epsilon used in verdicts.
-
-    ``epsilon`` defaults to ``lam / 2`` when omitted.
-    """
+    """A moment order p and an asserted decay rate lambda, for :func:`cross_check_lambda`."""
 
     p: float
     lam: float
-    epsilon: float | None = None
 
     def __post_init__(self):
         _check_moment_order(self.p)
         if not self.lam > 0.0:
             raise InputError(f"lambda must be positive, got {self.lam}")
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", 0.5 * self.lam)
-        if not 0.0 < self.epsilon < self.lam:
-            raise InputError(f"epsilon must lie in (0, lambda), got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -112,13 +105,28 @@ class SamplingPlan:
             raise InputError(f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
         if not np.isfinite(float(self.r_max) / float(self.r_min)):  # the count of decades sampled
             raise InputError(f"r_max / r_min must be finite, got {self.r_max} / {self.r_min}")
-        if self.radii_per_decade < 1 or self.directions_per_radius < 1:
-            raise InputError("radii_per_decade and directions_per_radius must be >= 1")
+        _check_count("radii_per_decade", self.radii_per_decade)
+        _check_count("directions_per_radius", self.directions_per_radius)
+        _check_seed("seed", self.seed)
 
 
 def _check_moment_order(p) -> None:
     if not 0.0 < p < 1.0:
         raise InputError(f"moment order p must lie in (0, 1), got {p}")
+
+
+def _check_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int if it is an integer, Python's or numpy's but not a bool, in [least, 2**63)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not least <= value < 2**63:
+        raise InputError(f"{name}: must be an integer in [{least}, 2**63), got {value!r}")  # numpy sizes are int64
+    return int(value)
+
+
+def _check_seed(name: str, value) -> int:
+    """``value`` as an int if it is a non-negative integer of any size, Python's or numpy's but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InputError(f"{name}: must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def as_state(model: SdeModel, x) -> np.ndarray:
@@ -138,14 +146,23 @@ def state_norms(xs: np.ndarray) -> np.ndarray:
     return np.abs(xs[..., 0]) if xs.shape[-1] == 1 else np.hypot.reduce(xs, axis=-1)
 
 
+def _at_state(model: SdeModel, x, evaluate: Coefficient, what: str) -> np.ndarray:
+    """``evaluate`` at the one-row batch of state ``x``, its row, silent but for ``EvaluationError``."""
+    xs = as_state(model, x)[None, :]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value = np.array(evaluate(xs)[0], dtype=float)
+    _check_finite(value, what, xs)
+    return value
+
+
 def evaluate_drift(model: SdeModel, x) -> np.ndarray:
-    """f(x) with dimension validation."""
-    return np.asarray(model.drift(as_state(model, x)), dtype=float)
+    """f(x) with dimension validation; ``EvaluationError`` if it is not finite."""
+    return _at_state(model, x, model.drift, "drift")
 
 
 def evaluate_diffusion(model: SdeModel, x) -> np.ndarray:
-    """g(x) with dimension validation."""
-    return np.asarray(model.diffusion(as_state(model, x)), dtype=float)
+    """g(x) with dimension validation; ``EvaluationError`` if it is not finite."""
+    return _at_state(model, x, model.diffusion, "diffusion")
 
 
 def check_trivial_solution(model: SdeModel) -> bool:
@@ -176,15 +193,14 @@ def functional_values(xs: np.ndarray, f_vals: np.ndarray, g_vals: np.ndarray, p:
 def stability_functional(model: SdeModel, p: float, x) -> float:
     """Evaluate the stability functional at a single nonzero state.
 
-    Raises ``DomainError`` at x = 0, where the quotient is undefined.
+    Raises ``DomainError`` at x = 0, where the quotient is undefined, and
+    ``EvaluationError`` where its value is not finite.
     """
     _check_moment_order(p)
     xs = as_state(model, x)
     if not np.any(xs != 0.0):
         raise DomainError("stability functional is undefined at x = 0")
-    f_vals = np.asarray(model.drift(xs), dtype=float)
-    g_vals = np.asarray(model.diffusion(xs), dtype=float)
-    return float(functional_values(xs, f_vals, g_vals, p))
+    return float(_sampled_functional(xs[None, :], model.drift, model.diffusion, p)[0])
 
 
 def _gaussian_directions(rng, count: int, dimension: int) -> tuple[np.ndarray, np.ndarray]:
@@ -250,10 +266,10 @@ def cross_check_lambda(model: SdeModel, params: StabilityParams, plan: SamplingP
     """Check an asserted lambda against the sampled functional supremum.
 
     Returns the sampled supremum and warns if it exceeds ``-params.lam`` by
-    more than 1e-6, which means the asserted rate is too optimistic.
+    more than ``LAMBDA_TOLERANCE``, which means the asserted rate is too optimistic.
     """
     sup = _functional_supremum(model, params.p, plan)
-    if sup > -params.lam + 1e-6:
+    if sup > -params.lam + LAMBDA_TOLERANCE:
         warnings.warn(
             f"sampled functional supremum {sup:.6g} exceeds -lambda = {-params.lam:.6g}; "
             "the asserted decay rate is not supported by the sampled points",

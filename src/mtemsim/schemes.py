@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .models import SdeModel, state_norms
-from .truncation import _at_state, resolve_radius, truncation_factors
+from .models import SdeModel, _at_state, _check_count, _check_seed, state_norms
+from .truncation import resolve_radius, truncation_factors
 
 __all__ = [
     "DEFAULT_REFINEMENT",
@@ -63,8 +63,8 @@ class BrownianPath:
         """The path's (steps, refinement) fine increments, each N(0, delta / refinement)."""
         if not delta > 0.0:
             raise InputError(f"step size must be positive, got {delta}")
-        if steps < 1 or refinement < 1:
-            raise InputError("steps and refinement must be >= 1")
+        master_seed, path_index = _check_seed("master_seed", master_seed), _check_seed("path_index", path_index)
+        steps, refinement = _check_count("steps", steps), _check_count("refinement", refinement)
         z = path_generator(master_seed, path_index).standard_normal(steps * refinement)
         fine = (math.sqrt(delta / refinement) * z).reshape(steps, refinement)
         return cls(master_seed, path_index, delta, refinement, fine)
@@ -138,8 +138,9 @@ def step_mtem(model: SdeModel, policy_or_radius, x, delta: float, db: float) -> 
     """Single truncated Euler step from state ``x`` with increment ``db``; ``EvaluationError`` if it is not finite."""
     if not delta > 0.0:
         raise InputError(f"step size must be positive, got {delta}")
-    return _at_state(model, policy_or_radius, x, delta,
-                     lambda h, xs: advance_states(model, h, xs, delta, np.array([float(db)])), "truncated Euler step")
+    h = resolve_radius(policy_or_radius, delta)
+    return _at_state(model, x, lambda xs: advance_states(model, h, xs, delta, np.array([float(db)])),
+                     "truncated Euler step")
 
 
 def interpolate_step_process(record: TrajectoryRecord, t: float) -> np.ndarray:
@@ -150,7 +151,7 @@ def interpolate_step_process(record: TrajectoryRecord, t: float) -> np.ndarray:
     to it.
     """
     horizon = record.num_steps * record.delta
-    if t < 0.0 or t > horizon * (1.0 + _GRID_SNAP) + _GRID_SNAP * record.delta:
+    if not 0.0 <= t <= horizon * (1.0 + _GRID_SNAP) + _GRID_SNAP * record.delta:  # nan too
         raise InputError(f"time {t} outside the recorded horizon [0, {horizon}]")
     u = t / record.delta
     k = int(math.floor(u))
@@ -184,11 +185,11 @@ def interpolate_continuous_mtem(
     m = path.refinement
     fine_dt = record.delta / m
     u = t / fine_dt
+    if not -0.5 <= u < record.num_steps * m + 0.5:  # nan too: the nearest fine point must be recorded
+        raise InputError(f"time {t} outside the recorded horizon")
     idx = int(math.floor(u + 0.5))
     if abs(u - idx) > _GRID_SNAP * max(1.0, abs(u)):
         raise InputError(f"time {t} is not on the fine grid of spacing {fine_dt}")
-    if idx < 0 or idx > record.num_steps * m:
-        raise InputError(f"time {t} outside the recorded horizon")
     k, j = divmod(idx, m)
     if j == 0:
         return record.states[k].copy()

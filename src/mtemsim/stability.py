@@ -16,8 +16,8 @@ import numpy as np
 
 from .engine import run_paths
 from .errors import EstimationError, InputError
-from .models import (SamplingPlan, SdeModel, _check_finite, _check_moment_order, _gaussian_directions,
-                     _sampled_functional, sample_states, state_norms)
+from .models import (LAMBDA_TOLERANCE, SamplingPlan, SdeModel, _check_count, _check_finite, _check_moment_order,
+                     _check_seed, _gaussian_directions, _sampled_functional, sample_states, state_norms)
 from .schemes import scheme_radius
 from .truncation import truncated_batch
 
@@ -46,7 +46,6 @@ _MIN_FIT_POINTS = 10
 # The lemma verifiers' fixed settings
 LIPSCHITZ_RADIUS_MULTIPLE = 10.0  # state pairs are sampled out to this multiple of h
 LIPSCHITZ_REL_SLACK = 1e-9  # a difference quotient may exceed 3 L_h by this relative slack
-LAMBDA_TOLERANCE = 1e-6  # a sampled supremum may exceed -lambda by this much
 
 
 @dataclass(frozen=True)
@@ -135,8 +134,7 @@ def _pathwise_summary(result) -> PathwiseExponentSummary:
 
 def _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, **kwargs):
     """Validate a moment run and step it with per-step |X_k|^p sums switched on."""
-    if paths < 2:
-        raise InputError(f"at least 2 paths are required, got {paths}")
+    _check_count("paths", paths, 2)
     _check_moment_order(p)
     radius = scheme_radius(model, policy_or_radius, scheme, delta)
     return run_paths(model, radius, x0, delta, steps, paths, seed, moment_p=p, **kwargs)
@@ -198,16 +196,14 @@ def estimate_as_exponent(
     return _pathwise_summary(run_paths(model, radius, x0, delta, steps, paths, seed, **kwargs))
 
 
-def fit_exponent(estimate: MomentEstimate, window: tuple[float, float], floor: float = UNDERFLOW_FLOOR) -> ExponentFit:
-    """Least-squares slope of log(max(moment, floor)) against time over a window.
+def fit_exponent(estimate: MomentEstimate, window: tuple[float, float]) -> ExponentFit:
+    """Least-squares slope of log(max(moment, UNDERFLOW_FLOOR)) against time over a window.
 
     The window must contain at least 10 grid points; if it does but fewer
     than 10 of them still have surviving paths, the data (not the window) is
     at fault and an ``EstimationError`` is raised.  Points clamped at the
-    floor are counted as censored but kept in the fit.
+    floor, as pathwise exponents are, are counted as censored but kept in the fit.
     """
-    if not floor > 0.0:
-        raise InputError(f"floor must be positive, got {floor}")
     t_lo, t_hi = float(window[0]), float(window[1])
     times = estimate.times
     horizon = times[-1]
@@ -228,8 +224,8 @@ def fit_exponent(estimate: MomentEstimate, window: tuple[float, float], floor: f
         )
     t_sel = times[usable]
     m_sel = estimate.means[usable]
-    censored = int(np.count_nonzero(m_sel <= floor))
-    y = np.log(np.maximum(m_sel, floor))
+    censored = int(np.count_nonzero(m_sel <= UNDERFLOW_FLOOR))
+    y = np.log(np.maximum(m_sel, UNDERFLOW_FLOOR))
     # polyfit divides its design columns by these norms; at times near 1e-298
     # the squares underflow, and LAPACK would print an error before failing
     scales = np.sqrt((np.vander(t_sel, 2) ** 2).sum(axis=0))
@@ -296,8 +292,7 @@ def verify_lemma_global_lipschitz(
     truncated drift or diffusion is not finite, or a pair whose difference
     quotient overflows, raises ``EvaluationError``.
     """
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
+    trials, seed = _check_count("trials", trials), _check_seed("seed", seed)
     h = float(radius)
     outer = LIPSCHITZ_RADIUS_MULTIPLE * h
     if not (0.0 < h and outer < np.inf):  # h itself too

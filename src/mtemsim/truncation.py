@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BracketError, InputError
-from .models import SdeModel, _check_finite, as_state, state_norms
+from .models import SdeModel, _at_state, state_norms
 
 __all__ = [
     "TruncationPolicy",
@@ -36,7 +36,7 @@ __all__ = [
     "verify_step_condition",
 ]
 
-DEFAULT_BRACKET = (1e-6, 1e9)
+_BRACKET = (1e-6, 1e9)  # the search interval before it is widened
 # +inf as a radius that scales: fmax(|x|, R) = R for finite |x|, so both factors are 1
 UNTRUNCATED = float(np.finfo(float).max)
 _BRACKET_GROWTH = 1e3
@@ -49,19 +49,14 @@ class TruncationPolicy:
 
     ``radius_fn`` must be strictly positive and nonincreasing on
     (0, delta_star], so the radius grows as the step size shrinks.
-    ``provenance`` records whether h was given analytically or derived from
-    the model's Lipschitz bound.
     """
 
     radius_fn: Callable[[float], float]
     delta_star: float
-    provenance: str = "analytic"
 
     def __post_init__(self):
         if not self.delta_star > 0.0:
             raise InputError(f"delta_star must be positive, got {self.delta_star}")
-        if self.provenance not in ("analytic", "derived-from-L_R"):
-            raise InputError(f"unknown provenance {self.provenance!r}")
 
     def radius(self, delta: float) -> float:
         """h(delta); rejects step sizes outside (0, delta_star]."""
@@ -75,21 +70,17 @@ class TruncationPolicy:
         return h
 
 
-def derive_h_from_lipschitz(
-    lipschitz_bound: Callable[[float], float],
-    delta: float,
-    bracket: tuple[float, float] | None = None,
-    tol: float | None = None,
-) -> float:
+def derive_h_from_lipschitz(lipschitz_bound: Callable[[float], float], delta: float,
+                            tol: float | None = None) -> float:
     """Invert l(R) = 1 / (R * L_R^4) at the given step size by bisection.
 
     Since L_R is nondecreasing, l is strictly decreasing, and the radius
     solving l(R) = delta satisfies the step condition L_{h}^4 * delta = 1 / h.
-    With the default bracket the search interval is expanded geometrically up
-    to four times before giving up; an explicit bracket that does not
-    straddle the target raises ``BracketError`` immediately, as does an l(R)
-    that floats cannot hold (L_R = 0, or L_R^4 overflowing).  ``tol`` bounds
-    the final bisection width and defaults to 1e-12 times the upper bracket.
+    The search starts on [1e-6, 1e9] and is widened a thousandfold at each
+    end up to four times; a target still outside it raises ``BracketError``,
+    as does an l(R) that floats cannot hold (L_R = 0, or L_R^4 overflowing).
+    ``tol`` bounds the final bisection width and defaults to 1e-12 times the
+    upper end of the search interval.
     """
     if not delta > 0.0:
         raise InputError(f"step size must be positive, got {delta}")
@@ -102,14 +93,10 @@ def derive_h_from_lipschitz(
             raise BracketError(f"l(R) = 1 / (R * L_R^4) has no float value at R = {radius}, "
                                f"where L_R = {level!r}") from None
 
-    explicit = bracket is not None
-    lo, hi = bracket if explicit else DEFAULT_BRACKET
-    if not 0.0 < lo < hi:
-        raise InputError(f"bracket must satisfy 0 < lo < hi, got [{lo}, {hi}]")
-
+    lo, hi = _BRACKET
     expansions = 0
     while not decay(lo) > delta > decay(hi):
-        if explicit or expansions >= _MAX_BRACKET_EXPANSIONS:
+        if expansions >= _MAX_BRACKET_EXPANSIONS:
             raise BracketError(
                 f"l(R) does not straddle delta = {delta} on [{lo}, {hi}]: "
                 f"l({lo}) = {decay(lo):.6g}, l({hi}) = {decay(hi):.6g}"
@@ -134,18 +121,13 @@ def derive_h_from_lipschitz(
     return 0.5 * (lo + hi)
 
 
-def policy_from_lipschitz(
-    lipschitz_bound: Callable[[float], float],
-    delta_star: float = 1.0,
-    bracket: tuple[float, float] | None = None,
-    tol: float | None = None,
-) -> TruncationPolicy:
-    """Truncation policy whose radius is the bisection inverse of l(R)."""
+def policy_from_lipschitz(lipschitz_bound: Callable[[float], float]) -> TruncationPolicy:
+    """Truncation policy, valid for step sizes up to 1, whose radius is the bisection inverse of l(R).
 
-    def radius_fn(delta: float) -> float:
-        return derive_h_from_lipschitz(lipschitz_bound, delta, bracket=bracket, tol=tol)
-
-    return TruncationPolicy(radius_fn, delta_star, provenance="derived-from-L_R")
+    For another validity bound or tolerance, build ``TruncationPolicy(radius_fn,
+    delta_star)`` around :func:`derive_h_from_lipschitz`.
+    """
+    return TruncationPolicy(lambda delta: derive_h_from_lipschitz(lipschitz_bound, delta), 1.0)
 
 
 def example41_policy() -> TruncationPolicy:
@@ -158,7 +140,7 @@ def example41_policy() -> TruncationPolicy:
     def radius_fn(delta: float) -> float:
         return np.sqrt((delta ** -0.2 - 1.0) / 3.0)
 
-    return TruncationPolicy(radius_fn, delta_star=4.0**-5, provenance="analytic")
+    return TruncationPolicy(radius_fn, delta_star=4.0**-5)
 
 
 def default_policy(model: SdeModel) -> TruncationPolicy:
@@ -212,26 +194,16 @@ def truncated_batch(coefficient, xs: np.ndarray, radius, norms: np.ndarray | Non
     return outward * np.asarray(coefficient(inward * xs), dtype=float)
 
 
-def _at_state(model: SdeModel, policy_or_radius, x, delta: float | None, evaluate, what: str) -> np.ndarray:
-    """``evaluate(h, xs)`` at the one-row batch ``xs`` of state ``x``, silent but for ``EvaluationError``."""
-    h = resolve_radius(policy_or_radius, delta)
-    xs = as_state(model, x)[None, :]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value = np.array(evaluate(h, xs)[0])
-    _check_finite(value, what, xs)
-    return value
-
-
 def eval_f_delta(model: SdeModel, policy_or_radius, x, delta: float | None = None) -> np.ndarray:
     """Truncated drift at a single state; ``EvaluationError`` if it is not finite."""
-    return _at_state(model, policy_or_radius, x, delta, lambda h, xs: truncated_batch(model.drift, xs, h),
-                     "truncated drift")
+    h = resolve_radius(policy_or_radius, delta)
+    return _at_state(model, x, lambda xs: truncated_batch(model.drift, xs, h), "truncated drift")
 
 
 def eval_g_delta(model: SdeModel, policy_or_radius, x, delta: float | None = None) -> np.ndarray:
     """Truncated diffusion at a single state; ``EvaluationError`` if it is not finite."""
-    return _at_state(model, policy_or_radius, x, delta, lambda h, xs: truncated_batch(model.diffusion, xs, h),
-                     "truncated diffusion")
+    h = resolve_radius(policy_or_radius, delta)
+    return _at_state(model, x, lambda xs: truncated_batch(model.diffusion, xs, h), "truncated diffusion")
 
 
 @dataclass(frozen=True)

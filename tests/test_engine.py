@@ -14,6 +14,7 @@ byte, and memory does not grow with the number of steps.
 A run over several radii splits back into the runs under each radius alone.
 """
 
+import contextlib
 import hashlib
 import mmap
 import os
@@ -564,3 +565,35 @@ def test_the_cli_exits_5_with_one_line_when_a_drawer_dies(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("drawer error: drawer 1 (pid ") and err.count("\n") == 1 and "Traceback" not in err
     assert not list(tmp_path.iterdir())  # no CSV, no manifest
+
+
+@contextlib.contextmanager
+def _sigchld_ignored():
+    """SIGCHLD ignored: the kernel reaps each child itself, so waitpid finds no child to wait for."""
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
+def test_a_dead_drawer_in_a_caller_that_ignores_sigchld_is_a_drawer_error(monkeypatch):
+    baseline = threading.active_count()
+    _kill_the_drawer_of_path_700(monkeypatch)
+    with _sigchld_ignored():
+        error = _error_within(20, lambda: run_paths(m.example41(), 1.5, 2.0, 1e-2, 20, 1024, 5, 1, workers=2))
+    assert isinstance(error, DrawerError)
+    assert re.fullmatch(r"drawer 1 \(pid \d+\) ended without replying, exit status unknown", str(error))
+    assert threading.active_count() == baseline
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_cli_exits_5_when_a_drawer_dies_in_a_caller_that_ignores_sigchld(tmp_path, monkeypatch, capsys):
+    _kill_the_drawer_of_path_700(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    with _sigchld_ignored():
+        code = main(["simulate", "--paths", "1024", "--steps", "20", "--refinement", "1", "--workers", "2"])
+    err = capsys.readouterr().err
+    assert (code, err.count("\n")) == (5, 1) and err.startswith("drawer error: drawer 1 (pid ")
+    assert err.endswith("exit status unknown\n") and "Traceback" not in err

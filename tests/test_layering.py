@@ -1,11 +1,15 @@
-"""The module layering: the engine runs on the schemes module, which imports nothing from it.
+"""The module layering: each module imports only ``errors`` and the modules listed above it.
 
-The sources are parsed, not imported, so an import inside a function body
-counts as much as one at the top of a module.
+The order is the README's: models, truncation, schemes, engine, stability,
+cli.  So the engine runs on the schemes module, which imports nothing from
+it.  The sources are parsed, not imported, so an import inside a function
+body counts as much as one at the top of a module.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import mtemsim as m
 from mtemsim import engine, schemes
@@ -34,6 +38,31 @@ def _package_imports(module: str) -> set[str]:
                 if parts[0] == "mtemsim":
                     found.add(parts[1] if len(parts) > 1 else "__init__")
     return found
+
+
+def _names_from_the_package(module: str) -> set[str]:
+    """The names ``module`` takes from the package itself that are not modules, as in ``from . import x``."""
+    return {alias.name for node in ast.walk(_tree(module)) if isinstance(node, ast.ImportFrom)
+            and (node.module == "mtemsim" or (node.level == 1 and not node.module))
+            for alias in node.names if not (SRC / f"{alias.name}.py").exists()}
+
+
+LAYERS = ["errors", "models", "truncation", "schemes", "engine", "stability", "cli"]
+
+
+def test_every_module_has_a_place_in_the_layers():
+    assert {path.stem for path in SRC.glob("*.py")} == {"__init__", "__main__", *LAYERS}
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_each_module_imports_only_errors_and_the_modules_listed_above_it(module):
+    found = _package_imports(module)
+    if module == "cli":
+        # The version string has one home, the package's __init__, which binds it before it imports
+        # any module; so cli, which writes it into every manifest, may take that one name from it.
+        assert _names_from_the_package("cli") == {"__version__"}
+        found.discard("__init__")
+    assert found <= {"errors", *LAYERS[:LAYERS.index(module)]}
 
 
 def test_schemes_imports_nothing_from_the_engine_at_any_depth():

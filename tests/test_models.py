@@ -114,13 +114,10 @@ def test_check_trivial_solution(ex41):
 
 def test_stability_params_validation():
     params = m.StabilityParams(p=0.5, lam=1.0)
-    assert params.epsilon == 0.5
     with pytest.raises(InputError):
         m.StabilityParams(p=1.5, lam=1.0)
     with pytest.raises(InputError):
         m.StabilityParams(p=0.5, lam=-1.0)
-    with pytest.raises(InputError):
-        m.StabilityParams(p=0.5, lam=1.0, epsilon=1.5)
 
 
 def test_cross_check_lambda_warns_when_overstated():

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import warnings
 
@@ -94,8 +95,6 @@ def test_fit_exponent_window_validation():
         m.fit_exponent(est, (0.5, 0.2))
     with pytest.raises(InputError):
         m.fit_exponent(est, (0.0, 2.0))  # outside the horizon
-    with pytest.raises(InputError):
-        m.fit_exponent(est, (0.0, 1.0), floor=0.0)
 
 
 def test_fit_exponent_raises_when_paths_gone():
@@ -129,7 +128,7 @@ def test_fit_exponent_counts_floor_censoring():
     means[-3:] = 0.0  # collapses to the floor inside the log
     est = MomentEstimate(times, means, np.zeros_like(times),
                          np.full(times.size, 4), 4, 0.5, 0)
-    fit = m.fit_exponent(est, (0.0, 1.0), floor=1e-12)
+    fit = m.fit_exponent(est, (0.0, 1.0))
     assert fit.censored == 3
 
 
@@ -294,6 +293,88 @@ def test_a_hostile_radius_returns_or_raises_a_library_error(ex41, call, radius):
         RADIUS_TAKERS[call](ex41, radius)
     except MtemError:
         pass
+
+
+HOSTILE_VALUES = [0, -1, math.nan, -math.inf, math.inf, 1e308, 1e-323, 2**63, True]
+_VALID_SEEDS = (0, 2**63)  # a seed is any non-negative integer
+
+
+def _record_and_path(model):
+    path = m.BrownianPath.generate(1, 0, 1e-3, 5, 2)
+    return m.simulate_path(model, 1.5, "mtem", 1.0, 1e-3, 5, path), path
+
+
+# Every public entry point that takes a count, a seed, a time, a moment order or a single state, with
+# the values of HOSTILE_VALUES it accepts; a count is an integer in [least, 2**63), a seed one >= 0.
+VALUE_TAKERS = {
+    "run_paths-paths": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, 5, v, 1), ()),
+    "run_paths-steps": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, v, 3, 1), ()),
+    "run_paths-refinement": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, 5, 3, 1, v), ()),
+    "run_paths-record_paths": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, 5, 3, 1, record_paths=v), (0,)),
+    "run_paths-master_seed": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, 5, 3, v), _VALID_SEEDS),
+    "run_paths-moment_p": (lambda model, v: run_paths(model, 1.5, 2.0, 1e-3, 5, 3, 1, moment_p=v),
+                           (0, -1, 1e308, 1e-323, 2**63, True)),  # any finite order: |x|^p may overflow
+    "run_stability_mc-paths": (lambda model, v: m.run_stability_mc(model, 1.5, "mtem", 0.5, 1.0, 1e-3, 5, v, 1),
+                               ()),  # at least 2
+    "simulate_path-steps": (lambda model, v: m.simulate_path(model, 1.5, "mtem", 1.0, 1e-3, v,
+                                                             m.BrownianPath.generate(1, 0, 1e-3, 5, 2)), ()),
+    "generate-master_seed": (lambda model, v: m.BrownianPath.generate(v, 0, 1e-3, 5, 2), _VALID_SEEDS),
+    "generate-path_index": (lambda model, v: m.BrownianPath.generate(1, v, 1e-3, 5, 2), _VALID_SEEDS),
+    "generate-steps": (lambda model, v: m.BrownianPath.generate(1, 0, 1e-3, v, 2), ()),
+    "generate-refinement": (lambda model, v: m.BrownianPath.generate(1, 0, 1e-3, 5, v), ()),
+    "global_lipschitz-trials": (lambda model, v: m.verify_lemma_global_lipschitz(model, 2.0, trials=v), ()),
+    "global_lipschitz-seed": (lambda model, v: m.verify_lemma_global_lipschitz(model, 2.0, trials=30, seed=v),
+                              _VALID_SEEDS),
+    "lambda_preserved-seed": (lambda model, v: m.verify_lemma_lambda_preserved(model, 2.0, 0.5, 1.0, seed=v),
+                              _VALID_SEEDS),
+    "SamplingPlan-seed": (lambda model, v: SamplingPlan(seed=v), _VALID_SEEDS),
+    "SamplingPlan-radii_per_decade": (lambda model, v: SamplingPlan(radii_per_decade=v), ()),
+    "SamplingPlan-directions_per_radius": (lambda model, v: SamplingPlan(directions_per_radius=v), ()),
+    "interpolate_step_process-t": (lambda model, v: m.interpolate_step_process(_record_and_path(model)[0], v),
+                                   (0, 1e-323)),  # the horizon is 5e-3
+    "interpolate_continuous_mtem-t": (lambda model, v: m.interpolate_continuous_mtem(
+        model, 1.5, *_record_and_path(model), v), (0, 1e-323)),
+    "stability_functional-x": (lambda model, v: m.stability_functional(model, 0.5, v), (-1, 2**63, True)),
+    "evaluate_drift-x": (lambda model, v: m.evaluate_drift(model, v), (0, -1, 1e-323, 2**63, True)),
+    "evaluate_diffusion-x": (lambda model, v: m.evaluate_diffusion(model, v), (0, -1, 1e-323, 2**63, True)),
+}
+
+
+# A finite order whose |x0|^p overflows: the moment sums warn, and the merge's compensation turns NaN; unmended.
+_OVERFLOWING_MOMENTS = {("run_paths-moment_p", 1e308), ("run_paths-moment_p", 2**63)}
+
+
+def _value_cases(refused: bool):
+    overflow = pytest.mark.xfail(raises=RuntimeWarning, strict=True, reason="|x0|^p overflows in the moment sums")
+    return [pytest.param(call, value, id=f"{call}-{value!r}",
+                         marks=[overflow] if (call, value) in _OVERFLOWING_MOMENTS else [])
+            for call, (_, valid) in VALUE_TAKERS.items() for value in HOSTILE_VALUES if (value not in valid) == refused]
+
+
+# Every warning is an error here: no row may warn on its way to the error or the result.
+@pytest.mark.parametrize("call, value", _value_cases(refused=True))
+def test_a_hostile_count_seed_time_or_state_is_a_library_error(ex41, call, value):
+    with warnings.catch_warnings(), pytest.raises(MtemError):
+        warnings.simplefilter("error")
+        VALUE_TAKERS[call][0](ex41, value)
+
+
+@pytest.mark.parametrize("call, value", _value_cases(refused=False))
+def test_the_hostile_values_an_entry_point_accepts_return_quietly(ex41, call, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        VALUE_TAKERS[call][0](ex41, value)
+
+
+@pytest.mark.parametrize("keywords", [{"steps": math.nan}, {"master_seed": -1}, {"record_paths": -1},
+                                      {"moment_p": math.inf}], ids=repr)
+def test_a_refused_count_seed_or_moment_order_starts_no_drawer(keywords, monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 2)  # 4 paths in 2 segments: 2 workers would fork 2 drawers
+    with pytest.raises(InputError):
+        run_paths(m.example41(), 1.5, 2.0, 5e-4, **{"steps": 20, "paths": 4, "master_seed": 1, **keywords},
+                  workers=2)
+    with pytest.raises(ChildProcessError):  # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_one_step_contraction_quadrature(ex41, ex41_policy):

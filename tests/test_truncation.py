@@ -31,12 +31,6 @@ def test_derive_h_constant_bound_closed_form():
     assert root == pytest.approx(10.0, rel=1e-12)
 
 
-def test_derive_h_explicit_bracket_must_straddle(ex41):
-    delta = 1.0 / (2.0 * 13.0**4)  # root at R = 2
-    with pytest.raises(BracketError):
-        m.derive_h_from_lipschitz(ex41.lipschitz_bound, delta, bracket=(1.0, 1.5))
-
-
 def test_derive_h_default_bracket_expands():
     # root at R = 1e10, outside the default [1e-6, 1e9] bracket
     root = m.derive_h_from_lipschitz(lambda r: 1.0, 1e-10)
@@ -70,16 +64,15 @@ def test_policy_radius_positive_decreasing(ex41_policy):
 def test_policy_from_lipschitz_matches_closed_form():
     model = m.linear(-1.0, 0.5)  # L == 1, so h(delta) = 1/delta
     policy = m.policy_from_lipschitz(model.lipschitz_bound)
-    assert policy.provenance == "derived-from-L_R"
     # default tol is 1e-12 * R_hi = 1e-3 on the default bracket
     assert policy.radius(1e-3) == pytest.approx(1e3, abs=1e-3)
-    tight = m.policy_from_lipschitz(model.lipschitz_bound, tol=1e-12)
-    assert tight.radius(1e-3) == pytest.approx(1e3, rel=1e-9)
 
 
 def test_default_policy_selection(ex41):
-    assert m.default_policy(ex41).provenance == "analytic"
-    assert m.default_policy(m.linear(1.0, 1.0)).provenance == "derived-from-L_R"
+    analytic, derived = m.default_policy(ex41), m.default_policy(m.linear(1.0, 1.0))
+    assert analytic.delta_star == 4.0**-5 and derived.delta_star == 1.0
+    assert analytic.radius(1e-5) == m.example41_policy().radius(1e-5) == math.sqrt((1e-5**-0.2 - 1.0) / 3.0)
+    assert derived.radius(1e-3) == m.derive_h_from_lipschitz(lambda r: 1.0, 1e-3)  # L == 1
 
 
 def test_eval_f_delta_examples(ex41):
