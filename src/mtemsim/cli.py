@@ -15,14 +15,14 @@ or index), 3 verification failure, 4 estimation failure, 5 a dead drawer.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass
 
 from . import __version__
 from .engine import run_paths
 from .errors import BracketError, ConfigError, DomainError, DrawerError, EstimationError, EvaluationError, InputError
-from .models import MODEL_KEYS, SamplingPlan, SdeModel, _check_count, _check_seed, estimate_lambda, get_model
+from .models import (MODEL_KEYS, SamplingPlan, SdeModel, _check_count, _check_moment_order, _check_seed, _check_step,
+                     as_state, estimate_lambda, get_model)
 from .schemes import SCHEMES, scheme_radius
 from .stability import fit_exponent, run_stability_mc, verify_lemma_global_lipschitz, verify_lemma_lambda_preserved
 from .truncation import default_policy, verify_step_condition
@@ -104,36 +104,22 @@ def _config_file_values(text: str) -> dict:
 
 
 def _validate(config: RunConfig) -> RunConfig:
-    try:
-        model = get_model(config.model, config.mu, config.sigma)
-    except InputError as exc:
-        raise ConfigError(f"model: {exc}") from None
-    for key in ("mu", "sigma"):
-        value = getattr(config, key)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{key}: must be finite, got {value}")
-    if config.scheme not in SCHEMES:
-        raise ConfigError(f"scheme: must be one of {', '.join(SCHEMES)}, got {config.scheme!r}")
-    if not 0.0 < config.p < 1.0:
-        raise ConfigError(f"p: must lie in (0, 1), got {config.p}")
-    if not config.delta > 0.0:
-        raise ConfigError(f"delta: must be positive, got {config.delta}")
-    try:  # the library's own rules, whose messages begin with the key
-        for key in ("steps", "paths", "refinement"):
-            _check_count(key, getattr(config, key))
-        _check_seed("seed", config.seed)
-    except InputError as exc:
-        raise ConfigError(str(exc)) from None
-    if not math.isfinite(config.x0):
-        raise ConfigError(f"x0: must be finite, got {config.x0}")
     lo, hi = config.window
     if not 0.0 <= lo < hi <= 1.0:
         raise ConfigError(f"window: fractions must satisfy 0 <= lo < hi <= 1, got {lo}:{hi}")
     if not config.out:
         raise ConfigError("out: must be a non-empty path prefix")
-    if config.scheme == "mtem" and config.delta > (bound := default_policy(model).delta_star):
-        raise ConfigError(f"delta: {config.delta} exceeds the truncation policy's validity bound "
-                          f"{bound} for model {config.model!r}")
+    try:  # every other rule is the library's, whose messages begin with the key
+        model = get_model(config.model, config.mu, config.sigma)
+        _check_moment_order(config.p)
+        _check_step("delta", config.delta)
+        for key in ("steps", "paths", "refinement"):
+            _check_count(key, getattr(config, key))
+        _check_seed("seed", config.seed)
+        as_state(model, config.x0, "x0")
+        scheme_radius(default_policy(model), config.scheme, config.delta)  # the policy's bound on delta too
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
     return config
 
 
@@ -177,7 +163,7 @@ def _write_manifest(config: RunConfig, subcommand: str) -> None:
 
 
 def _cmd_simulate(config: RunConfig, model: SdeModel, workers: int) -> int:
-    radius = scheme_radius(model, default_policy(model), config.scheme, config.delta)
+    radius = scheme_radius(default_policy(model), config.scheme, config.delta)
     result = run_paths(
         model, radius, config.x0, config.delta, config.steps, config.paths,
         config.seed, config.refinement, record_paths=config.paths, workers=workers,
@@ -260,14 +246,14 @@ def _cmd_verify(config: RunConfig, model: SdeModel, workers: int) -> int:
 
 
 def _cmd_compare(config: RunConfig, model: SdeModel, workers: int) -> int:
-    radius = default_policy(model).radius(config.delta)
+    radii = tuple(scheme_radius(default_policy(model), name, config.delta) for name in SCHEMES)
     # one run, a lane per scheme on each path drawn once; tallies cover every path, the CSV a few
     n_show = min(config.paths, COMPARE_TRAJECTORY_PATHS)
-    schemes = run_paths(model, (radius, math.inf), config.x0, config.delta, config.steps, config.paths,
-                        config.seed, config.refinement, record_paths=n_show, workers=workers).split(2)
+    schemes = run_paths(model, radii, config.x0, config.delta, config.steps, config.paths,
+                        config.seed, config.refinement, record_paths=n_show, workers=workers).split(len(SCHEMES))
 
     d = model.dimension
-    header = ["path_index", "k", "t"] + [f"mtem_x{i}" for i in range(d)] + [f"em_x{i}" for i in range(d)]
+    header = ["path_index", "k", "t"] + [f"{name}_x{i}" for name in SCHEMES for i in range(d)]
     steps = ["%d,%.17g" % (k, k * config.delta) for k in range(config.steps + 1)]  # k,t once per run
 
     def paths():  # a scheme's fields stay empty after the state it diverged at
@@ -287,7 +273,7 @@ def _cmd_compare(config: RunConfig, model: SdeModel, workers: int) -> int:
         f"{config.out}_tallies.csv",
         ["scheme", "paths", "diverged", "divergence_fraction"],
         ["%s,%d,%d,%.17g\n" % (name, config.paths, r.diverged_paths, r.diverged_paths / config.paths)
-         for name, r in zip(("mtem", "em"), schemes)],
+         for name, r in zip(SCHEMES, schemes)],
     )
     return 0
 

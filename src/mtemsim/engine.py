@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DrawerError, InputError
-from .models import SdeModel, _check_count, _check_seed, as_state, state_norms
+from .models import SdeModel, _check_count, _check_real, _check_seed, _check_size, _check_step, as_state, state_norms
 from .schemes import BrownianPath, TrajectoryRecord, advance_states, path_generator, scheme_radius
 from .truncation import UNTRUNCATED, resolve_radius
 
@@ -269,9 +269,9 @@ def simulate_path(
         raise InputError(f"path was generated with delta = {path.delta}, not {delta}")
     if path.steps < steps:
         raise InputError(f"path holds {path.steps} steps, {steps} requested")
-    radius = scheme_radius(model, policy_or_radius, scheme, delta)
+    radius = scheme_radius(policy_or_radius, scheme, delta)
     run = RunResult.empty(1, steps, delta, model.dimension, record_paths=1)
-    step_paths(Lanes(model, radius, as_state(model, x0), delta, run), path.coarse()[None, :steps])
+    step_paths(Lanes(model, radius, as_state(model, x0, "x0"), delta, run), path.coarse()[None, :steps])
     states = run.states[0]
     first = int(run.first_divergence[0])
     diverged = first >= 0
@@ -316,33 +316,27 @@ def run_paths(
     and steps block k; otherwise the caller draws each block, then steps it.
     A drawer's error is re-raised as its own type, or as a RuntimeError with
     its traceback, and a drawer that dies without replying raises DrawerError.
-    Every drawer is reaped before the call returns or raises.  A bad count or
-    seed, or a moment order that is not finite, raises InputError, and a size
-    numpy cannot index MemoryError, before anything is allocated.
+    Every drawer is reaped before the call returns or raises.  A bad count,
+    seed or step size, or a moment order that is not finite, raises InputError,
+    and a size numpy cannot index MemoryError, before anything is allocated.
     """
     paths, steps = _check_count("paths", paths), _check_count("steps", steps)
     refinement, record_paths = _check_count("refinement", refinement), _check_count("record_paths", record_paths, 0)
-    master_seed = _check_seed("master_seed", master_seed)
-    if not delta > 0.0:
-        raise InputError(f"step size must be positive, got {delta}")
-    if moment_p is not None and not math.isfinite(moment_p):
-        raise InputError(f"moment order must be finite, got {moment_p}")
+    master_seed, delta = _check_seed("master_seed", master_seed), _check_step("delta", delta)
+    moment_p = None if moment_p is None else _check_real("moment_p", moment_p)
     copies = np.size(radius)
     if copies != 1 and (copies == 0 or moment_p is not None):
         raise InputError("give a radius, and a single one for moment sums")
     radius = np.array([resolve_radius(r) for r in np.ravel(radius)])  # each one positive, +inf for none
-    x0_row, chunk = as_state(model, x0), CHUNK_PATHS
+    x0_row, chunk = as_state(model, x0, "x0"), CHUNK_PATHS
     width = WINDOW_SEGMENTS * chunk
     block = min(steps, BLOCK_STEPS)
     jobs = max(1, min(workers, -(-min(paths, width) // chunk))) if hasattr(os, "fork") else 1
     shape = (1 + (jobs > 1), block, min(paths, width))  # halves; a step reads one row
     group = max(1, min(chunk, GROUP_NORMALS // (block * refinement)))
     recorded = copies * min(record_paths, paths)
-    # numpy refuses, with a ValueError, an array of more bytes than an intp counts: refuse it first
-    for n in (copies * paths, steps + 1 if moment_p is not None else 0, recorded * (steps + 1) * model.dimension,
-              math.prod(shape), group * block * refinement):
-        if 8 * n > np.iinfo(np.intp).max:
-            raise MemoryError(f"an array of {n} 8-byte values is more than numpy can index")
+    _check_size(copies * paths, steps + 1 if moment_p is not None else 0, recorded * (steps + 1) * model.dimension,
+                math.prod(shape), group * block * refinement)
     out = RunResult.empty(copies * paths, steps, delta, model.dimension, moments=moment_p is not None,
                           record_paths=recorded)
     compensation = (np.zeros(steps + 1), np.zeros(steps + 1)) if moment_p is not None else None

@@ -12,6 +12,8 @@ same callables serve single-state evaluation and batched path simulation.
 
 from __future__ import annotations
 
+import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -112,7 +114,7 @@ class SamplingPlan:
 
 def _check_moment_order(p) -> None:
     if not 0.0 < p < 1.0:
-        raise InputError(f"moment order p must lie in (0, 1), got {p}")
+        raise InputError(f"p: the moment order must lie in (0, 1), got {p}")
 
 
 def _check_count(name: str, value, least: int = 1) -> int:
@@ -129,15 +131,35 @@ def _check_seed(name: str, value) -> int:
     return int(value)
 
 
-def as_state(model: SdeModel, x) -> np.ndarray:
-    """Coerce ``x`` to a float vector of the model's dimension."""
+def _check_real(name: str, value) -> float:
+    """``value`` as a float if it is a finite real number, Python's or numpy's but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            -sys.float_info.max <= value <= sys.float_info.max):  # also an int too large for a float
+        raise InputError(f"{name}: must be finite and real, got {value!r}")
+    return float(value)
+
+
+def _check_step(name: str, value) -> float:
+    """``value`` as a float if it is a step size: a positive finite real number, but not a bool."""
+    if not _check_real(name, value) > 0.0:
+        raise InputError(f"{name}: must be positive, got {value!r}")
+    return float(value)
+
+
+def _check_size(*counts: int) -> None:
+    """``MemoryError`` if an array of any of ``counts`` 8-byte values is more than numpy can index."""
+    for n in counts:  # numpy would refuse it with a ValueError, or allocate first
+        if 8 * n > np.iinfo(np.intp).max:
+            raise MemoryError(f"an array of {n} 8-byte values is more than numpy can index")
+
+
+def as_state(model: SdeModel, x, name: str = "state") -> np.ndarray:
+    """Coerce ``x``, whose errors are named ``name``, to a float vector of the model's dimension."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.shape != (model.dimension,):
-        raise InputError(
-            f"state has shape {arr.shape}, expected ({model.dimension},) for model {model.name!r}"
-        )
+        raise InputError(f"{name}: has shape {arr.shape}, expected ({model.dimension},) for model {model.name!r}")
     if not np.all(np.isfinite(arr)):
-        raise InputError(f"state must be finite, got {arr!r}")
+        raise InputError(f"{name}: must be finite, got {x!r}")
     return arr
 
 
@@ -304,9 +326,8 @@ def example41() -> SdeModel:
 
 
 def linear(mu: float, sigma: float) -> SdeModel:
-    """Scalar linear SDE dx = mu x dt + sigma x dB (geometric Brownian motion)."""
-    mu = float(mu)
-    sigma = float(sigma)
+    """Scalar linear SDE dx = mu x dt + sigma x dB (geometric Brownian motion); mu and sigma finite."""
+    mu, sigma = _check_real("mu", mu), _check_real("sigma", sigma)
     level = max(abs(mu), abs(sigma))
 
     def drift(x):
@@ -325,10 +346,10 @@ def get_model(key: str, mu: float | None = None, sigma: float | None = None) -> 
     """
     if key == "example41":
         if mu is not None or sigma is not None:
-            raise InputError("model 'example41' takes no parameters")
+            raise InputError("model: 'example41' takes no parameters")
         return example41()
     if key == "linear":
         if mu is None or sigma is None:
-            raise InputError("model 'linear' requires mu and sigma")
+            raise InputError("model: 'linear' requires mu and sigma")
         return linear(mu, sigma)
-    raise InputError(f"unknown model key {key!r}; known keys: {', '.join(MODEL_KEYS)}")
+    raise InputError(f"model: unknown key {key!r}; known keys: {', '.join(MODEL_KEYS)}")

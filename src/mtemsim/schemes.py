@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .models import SdeModel, _at_state, _check_count, _check_seed, state_norms
+from .models import SdeModel, _at_state, _check_count, _check_seed, _check_size, _check_step, state_norms
 from .truncation import resolve_radius, truncation_factors
 
 __all__ = [
@@ -60,11 +60,11 @@ class BrownianPath:
     @classmethod
     def generate(cls, master_seed: int, path_index: int, delta: float, steps: int,
                  refinement: int = DEFAULT_REFINEMENT) -> "BrownianPath":
-        """The path's (steps, refinement) fine increments, each N(0, delta / refinement)."""
-        if not delta > 0.0:
-            raise InputError(f"step size must be positive, got {delta}")
+        """The path's (steps, refinement) fine increments, each N(0, delta / refinement); too many: MemoryError."""
+        delta = _check_step("delta", delta)
         master_seed, path_index = _check_seed("master_seed", master_seed), _check_seed("path_index", path_index)
         steps, refinement = _check_count("steps", steps), _check_count("refinement", refinement)
+        _check_size(steps * refinement)
         z = path_generator(master_seed, path_index).standard_normal(steps * refinement)
         fine = (math.sqrt(delta / refinement) * z).reshape(steps, refinement)
         return cls(master_seed, path_index, delta, refinement, fine)
@@ -102,15 +102,15 @@ class TrajectoryRecord:
         return np.arange(self.states.shape[0]) * self.delta
 
 
-def scheme_radius(model: SdeModel, policy_or_radius, scheme: str, delta: float) -> float:
-    """Truncation radius for a scheme: h(delta) for mtem, +inf for plain em."""
+def scheme_radius(policy_or_radius, scheme: str, delta: float) -> float:
+    """The radius of a scheme in ``SCHEMES``: h(delta) for mtem, +inf for em, which nothing else says."""
     if scheme == "em":
         return math.inf
     if scheme == "mtem":
         if policy_or_radius is None:
             raise InputError("the mtem scheme requires a truncation policy or radius")
         return resolve_radius(policy_or_radius, delta)
-    raise InputError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    raise InputError(f"scheme: must be one of {', '.join(SCHEMES)}, got {scheme!r}")
 
 
 def advance_states(
@@ -136,8 +136,7 @@ def advance_states(
 
 def step_mtem(model: SdeModel, policy_or_radius, x, delta: float, db: float) -> np.ndarray:
     """Single truncated Euler step from state ``x`` with increment ``db``; ``EvaluationError`` if it is not finite."""
-    if not delta > 0.0:
-        raise InputError(f"step size must be positive, got {delta}")
+    delta = _check_step("delta", delta)
     h = resolve_radius(policy_or_radius, delta)
     return _at_state(model, x, lambda xs: advance_states(model, h, xs, delta, np.array([float(db)])),
                      "truncated Euler step")

@@ -17,7 +17,7 @@ import numpy as np
 from .engine import run_paths
 from .errors import EstimationError, InputError
 from .models import (LAMBDA_TOLERANCE, SamplingPlan, SdeModel, _check_count, _check_finite, _check_moment_order,
-                     _check_seed, _gaussian_directions, _sampled_functional, sample_states, state_norms)
+                     _check_real, _check_seed, _gaussian_directions, _sampled_functional, sample_states, state_norms)
 from .schemes import scheme_radius
 from .truncation import truncated_batch
 
@@ -136,7 +136,7 @@ def _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, see
     """Validate a moment run and step it with per-step |X_k|^p sums switched on."""
     _check_count("paths", paths, 2)
     _check_moment_order(p)
-    radius = scheme_radius(model, policy_or_radius, scheme, delta)
+    radius = scheme_radius(policy_or_radius, scheme, delta)
     return run_paths(model, radius, x0, delta, steps, paths, seed, moment_p=p, **kwargs)
 
 
@@ -192,7 +192,7 @@ def estimate_as_exponent(
     """Per-path decay exponents at the terminal time, with quantiles and max."""
     if steps * delta < 1.0:
         raise InputError(f"terminal time {steps * delta} must be >= 1 for a pathwise exponent")
-    radius = scheme_radius(model, policy_or_radius, scheme, delta)
+    radius = scheme_radius(policy_or_radius, scheme, delta)
     return _pathwise_summary(run_paths(model, radius, x0, delta, steps, paths, seed, **kwargs))
 
 
@@ -351,17 +351,19 @@ def verify_lemma_lambda_preserved(
     The states are those of ``SamplingPlan(r_min=h / 100, r_max=100 h,
     seed=seed)``, spanning both sides of the truncation ball.  The verdict
     passes when the sampled supremum stays at or below -lam + ``LAMBDA_TOLERANCE``,
-    i.e. truncation preserved the asserted decay rate.  A sampled value that
-    is not finite raises ``EvaluationError``.
+    i.e. truncation preserved the asserted decay rate.  ``lam`` must be finite
+    but may have either sign, as a sampled estimate for an unstable model
+    does.  A sampled value that is not finite raises ``EvaluationError``.
     """
     h = float(radius)
     r_min, r_max = h / 100.0, 100.0 * h
     if not (0.0 < r_min and r_max < np.inf):  # h itself too
         raise InputError(f"radius must be positive and finite, got {radius}, and so must h / 100 and 100 h")
     _check_moment_order(p)
+    lam = _check_real("lam", lam)
     points = sample_states(SamplingPlan(r_min=r_min, r_max=r_max, seed=seed), model.dimension)
     values = _sampled_functional(points, lambda s: truncated_batch(model.drift, s, h),
                                  lambda s: truncated_batch(model.diffusion, s, h), p)
     sup = float(np.max(values))
-    return LambdaPreservationReport(h, p, float(lam), sup, float(np.min(values)), int(values.size),
+    return LambdaPreservationReport(h, p, lam, sup, float(np.min(values)), int(values.size),
                                     LAMBDA_TOLERANCE, sup <= -lam + LAMBDA_TOLERANCE)

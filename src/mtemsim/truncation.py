@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BracketError, InputError
-from .models import SdeModel, _at_state, state_norms
+from .models import SdeModel, _at_state, _check_step, state_norms
 
 __all__ = [
     "TruncationPolicy",
@@ -60,10 +60,8 @@ class TruncationPolicy:
 
     def radius(self, delta: float) -> float:
         """h(delta); rejects step sizes outside (0, delta_star]."""
-        if not 0.0 < delta <= self.delta_star:
-            raise InputError(
-                f"step size {delta} outside the policy's validity range (0, {self.delta_star}]"
-            )
+        if (delta := _check_step("delta", delta)) > self.delta_star:
+            raise InputError(f"delta: {delta} exceeds the truncation policy's validity bound {self.delta_star}")
         h = float(self.radius_fn(delta))
         if not (np.isfinite(h) and h > 0.0):
             raise InputError(f"policy produced a non-positive radius {h} at delta = {delta}")
@@ -82,8 +80,7 @@ def derive_h_from_lipschitz(lipschitz_bound: Callable[[float], float], delta: fl
     ``tol`` bounds the final bisection width and defaults to 1e-12 times the
     upper end of the search interval.
     """
-    if not delta > 0.0:
-        raise InputError(f"step size must be positive, got {delta}")
+    delta = _check_step("delta", delta)
 
     def decay(radius: float) -> float:
         level = lipschitz_bound(radius)

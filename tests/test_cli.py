@@ -303,16 +303,34 @@ _HOSTILE = {
 }
 
 
-@pytest.mark.parametrize("key,value", [pytest.param(key, value, id=f"{key}-{kind}")
-                                       for key, values in _HOSTILE.items() for kind, value in zip(_KINDS, values)])
-def test_hostile_values_of_every_key_exit_with_a_documented_code(tmp_path, monkeypatch, capsys, key, value):
+# simulate under mtem, and exponent under em, which no policy bounds: an id without a prefix is simulate's
+_HOSTILE_RUNS = {"": ["simulate"], "exponent-em-": ["exponent", "--scheme", "em"]}
+
+
+@pytest.mark.parametrize("run,key,value", [
+    pytest.param(run, key, value, id=f"{run}{key}-{kind}")
+    for run in _HOSTILE_RUNS for key, values in _HOSTILE.items() for kind, value in zip(_KINDS, values)])
+def test_hostile_values_of_every_key_exit_with_a_documented_code(tmp_path, monkeypatch, capsys, run, key, value):
     assert list(_HOSTILE) == list(cli._KEYS)
     monkeypatch.chdir(tmp_path)  # out values become file names
-    argv = ["simulate", "--steps", "20", "--paths", "2", "--refinement", "1"]
+    argv = [*_HOSTILE_RUNS[run], "--steps", "20", "--paths", "2", "--refinement", "1"]
     if key in ("mu", "sigma"):  # only the linear model reads them
         argv += ["--model", "linear", "--mu", "-1", "--sigma", "0.5"]
     assert main([*argv, f"--{key}={value}"]) in (0, 2, 3, 4)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("p", "1"), ("delta", "inf"), ("delta", "1e-2"), ("x0", "nan"),
+                                       ("scheme", "rk4"), ("mu", "nan"), ("sigma", "-inf")])
+def test_a_refused_value_is_one_configuration_error_line_that_begins_with_its_key(tmp_path, capfd, key, value):
+    # the rules are the library's, and every one of its messages begins with the key; delta=1e-2 is
+    # above example41's policy bound under mtem, and the em run must not reach numpy with delta=inf
+    argv = ["exponent", "--scheme", "em" if key == "delta" and value == "inf" else "mtem", "--out", str(tmp_path / "r")]
+    if key in ("mu", "sigma"):
+        argv += ["--model", "linear", "--mu", "-1", "--sigma", "0.5"]
+    assert main([*argv, f"--{key}={value}"]) == 2
+    out, err = capfd.readouterr()
+    assert out == "" and err.startswith(f"configuration error: {key}: ") and err.count("\n") == 1
 
 
 def test_python_dash_m_mtemsim_runs_the_cli_cleanly(tmp_path):

@@ -90,3 +90,13 @@ def test_the_package_exports_the_engines_guard_and_single_path_run():
     assert m.OVERFLOW_GUARD is engine.OVERFLOW_GUARD
     assert m.simulate_path is engine.simulate_path
     assert {"OVERFLOW_GUARD", "simulate_path"} <= set(m.__all__) & set(engine.__all__)
+
+
+def test_each_input_rule_is_stated_in_models_only():
+    checkers = {path.name for path in SRC.glob("*.py") for node in ast.walk(_tree(path.stem))
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_")}
+    assert checkers == {"models.py"}
+    # the CLI restates no library rule: no finiteness test of its own, and no read of a policy's step bound
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id for node in ast.walk(_tree("cli"))
+             if isinstance(node, (ast.Attribute, ast.Name))}
+    assert not names & {"isfinite", "delta_star"}

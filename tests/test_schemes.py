@@ -27,6 +27,14 @@ def test_increment_variance_sane():
     assert np.var(path.fine) == pytest.approx(0.25 / 4, rel=0.05)
 
 
+@pytest.mark.parametrize("steps, refinement", [(2**62, 2), (2**61, 3)], ids=["2**62x2", "2**61x3"])
+def test_a_path_numpy_cannot_index_is_a_memory_error_before_any_draw(monkeypatch, steps, refinement):
+    # each count is in range, their product is not; run_paths refuses such a size by the same rule
+    monkeypatch.setattr(m.schemes, "path_generator", None)  # drawing would fail on calling it
+    with pytest.raises(MemoryError, match="more than numpy can index"):
+        m.BrownianPath.generate(1, 0, 1e-3, steps, refinement)
+
+
 def test_step_mtem_examples(ex41):
     assert m.step_mtem(ex41, 2.0, 1.0, 1e-3, 0.0)[0] == pytest.approx(1.002)
     expected = 1.002 + 0.02 * math.sqrt(3.0)

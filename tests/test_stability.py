@@ -304,8 +304,9 @@ def _record_and_path(model):
     return m.simulate_path(model, 1.5, "mtem", 1.0, 1e-3, 5, path), path
 
 
-# Every public entry point that takes a count, a seed, a time, a moment order or a single state, with
-# the values of HOSTILE_VALUES it accepts; a count is an integer in [least, 2**63), a seed one >= 0.
+# Every public entry point that takes a count, a seed, a time, a moment order, a step size, a real
+# parameter or a single state, with the values of HOSTILE_VALUES it accepts; a count is an integer in
+# [least, 2**63), a seed one >= 0, a step size a finite real > 0, a real parameter any finite real.
 VALUE_TAKERS = {
     "run_paths-paths": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, 5, v, 1), ()),
     "run_paths-steps": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, v, 3, 1), ()),
@@ -313,7 +314,8 @@ VALUE_TAKERS = {
     "run_paths-record_paths": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, 5, 3, 1, record_paths=v), (0,)),
     "run_paths-master_seed": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, 5, 3, v), _VALID_SEEDS),
     "run_paths-moment_p": (lambda model, v: run_paths(model, 1.5, 2.0, 1e-3, 5, 3, 1, moment_p=v),
-                           (0, -1, 1e308, 1e-323, 2**63, True)),  # any finite order: |x|^p may overflow
+                           (0, -1, 1e308, 1e-323, 2**63)),  # any finite order: |x|^p may overflow
+    "run_paths-delta": (lambda model, v: run_paths(model, 1.5, 1.0, v, 5, 3, 1), (1e308, 1e-323, 2**63)),
     "run_stability_mc-paths": (lambda model, v: m.run_stability_mc(model, 1.5, "mtem", 0.5, 1.0, 1e-3, 5, v, 1),
                                ()),  # at least 2
     "simulate_path-steps": (lambda model, v: m.simulate_path(model, 1.5, "mtem", 1.0, 1e-3, v,
@@ -322,11 +324,20 @@ VALUE_TAKERS = {
     "generate-path_index": (lambda model, v: m.BrownianPath.generate(1, v, 1e-3, 5, 2), _VALID_SEEDS),
     "generate-steps": (lambda model, v: m.BrownianPath.generate(1, 0, 1e-3, v, 2), ()),
     "generate-refinement": (lambda model, v: m.BrownianPath.generate(1, 0, 1e-3, 5, v), ()),
+    "generate-delta": (lambda model, v: m.BrownianPath.generate(1, 0, v, 5, 2), (1e308, 1e-323, 2**63)),
+    "step_mtem-delta": (lambda model, v: m.step_mtem(model, 1.5, 1.0, v, 0.1), (1e-323, 2**63)),  # 1e308: inf
+    "derive_h_from_lipschitz-delta": (lambda model, v: m.derive_h_from_lipschitz(model.lipschitz_bound, v),
+                                      ()),  # l(R) straddles none of the finite values
+    "TruncationPolicy.radius-delta": (lambda model, v: m.default_policy(model).radius(v), (1e-323,)),
+    "linear-mu": (lambda model, v: m.linear(v, 0.5), (0, -1, 1e308, 1e-323, 2**63)),
+    "linear-sigma": (lambda model, v: m.linear(-1.0, v), (0, -1, 1e308, 1e-323, 2**63)),
     "global_lipschitz-trials": (lambda model, v: m.verify_lemma_global_lipschitz(model, 2.0, trials=v), ()),
     "global_lipschitz-seed": (lambda model, v: m.verify_lemma_global_lipschitz(model, 2.0, trials=30, seed=v),
                               _VALID_SEEDS),
     "lambda_preserved-seed": (lambda model, v: m.verify_lemma_lambda_preserved(model, 2.0, 0.5, 1.0, seed=v),
                               _VALID_SEEDS),
+    "lambda_preserved-lam": (lambda model, v: m.verify_lemma_lambda_preserved(model, 2.0, 0.5, v),
+                             (0, -1, 1e308, 1e-323, 2**63)),  # either sign: a sampled estimate may be negative
     "SamplingPlan-seed": (lambda model, v: SamplingPlan(seed=v), _VALID_SEEDS),
     "SamplingPlan-radii_per_decade": (lambda model, v: SamplingPlan(radii_per_decade=v), ()),
     "SamplingPlan-directions_per_radius": (lambda model, v: SamplingPlan(directions_per_radius=v), ()),
@@ -367,14 +378,26 @@ def test_the_hostile_values_an_entry_point_accepts_return_quietly(ex41, call, va
 
 
 @pytest.mark.parametrize("keywords", [{"steps": math.nan}, {"master_seed": -1}, {"record_paths": -1},
-                                      {"moment_p": math.inf}], ids=repr)
+                                      {"moment_p": math.inf}, {"delta": math.inf}], ids=repr)
 def test_a_refused_count_seed_or_moment_order_starts_no_drawer(keywords, monkeypatch):
     monkeypatch.setattr(engine, "CHUNK_PATHS", 2)  # 4 paths in 2 segments: 2 workers would fork 2 drawers
     with pytest.raises(InputError):
-        run_paths(m.example41(), 1.5, 2.0, 5e-4, **{"steps": 20, "paths": 4, "master_seed": 1, **keywords},
+        run_paths(m.example41(), 1.5, 2.0, **{"delta": 5e-4, "steps": 20, "paths": 4, "master_seed": 1, **keywords},
                   workers=2)
     with pytest.raises(ChildProcessError):  # no child left, running or unreaped
         os.waitpid(-1, os.WNOHANG)
+
+
+_STEP_TAKERS = [call for call in VALUE_TAKERS if call.endswith("-delta")]
+
+
+@pytest.mark.parametrize("value", [0, -1, math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("call", _STEP_TAKERS)
+def test_every_step_size_meets_the_one_step_rule(ex41, call, value):
+    # the words of models._check_step, before any other rule or a numpy warning
+    with warnings.catch_warnings(), pytest.raises(InputError, match="^delta: must be (finite and real|positive), "):
+        warnings.simplefilter("error")
+        VALUE_TAKERS[call][0](ex41, value)
 
 
 def test_one_step_contraction_quadrature(ex41, ex41_policy):
