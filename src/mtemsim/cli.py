@@ -25,7 +25,7 @@ from .models import (MODEL_KEYS, SamplingPlan, SdeModel, _check_count, _check_mo
                      as_state, estimate_lambda, get_model)
 from .schemes import SCHEMES, scheme_radius
 from .stability import fit_exponent, run_stability_mc, verify_lemma_global_lipschitz, verify_lemma_lambda_preserved
-from .truncation import default_policy, verify_step_condition
+from .truncation import TruncationPolicy, default_policy, verify_step_condition
 
 __all__ = ["RunConfig", "parse_config", "run_command", "main"]
 
@@ -107,8 +107,12 @@ def _validate(config: RunConfig) -> RunConfig:
     lo, hi = config.window
     if not 0.0 <= lo < hi <= 1.0:
         raise ConfigError(f"window: fractions must satisfy 0 <= lo < hi <= 1, got {lo}:{hi}")
-    if not config.out:
-        raise ConfigError("out: must be a non-empty path prefix")
+    if not config.out or "\0" in config.out:
+        raise ConfigError(f"out: must be a non-empty path prefix without a NUL, got {config.out!r}")
+    try:  # argv keeps a byte that is not UTF-8 as a lone surrogate, which no manifest can hold
+        config.out.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"out: must encode as UTF-8, got {config.out!r} ({exc.reason})") from None
     try:  # every other rule is the library's, whose messages begin with the key
         model = get_model(config.model, config.mu, config.sigma)
         _check_moment_order(config.p)
@@ -155,17 +159,18 @@ def _write_manifest(config: RunConfig, subcommand: str) -> None:
             lines.append(f"window={value[0]!r}:{value[1]!r}")
         elif value is not None:
             lines.append(f"{key}={value if isinstance(value, str) else repr(value)}")
-    with open(f"{config.out}_manifest.txt", "w", newline="\n") as fh:
+    with open(f"{config.out}_manifest.txt", "w", newline="\n", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 # --- subcommands -------------------------------------------------------------
+# A runner gets the policy and the radii of the schemes it steps from run_command, and computes
+# everything before it writes its first file, so that a refused run writes nothing.
 
 
-def _cmd_simulate(config: RunConfig, model: SdeModel, workers: int) -> int:
-    radius = scheme_radius(default_policy(model), config.scheme, config.delta)
+def _cmd_simulate(config: RunConfig, model: SdeModel, policy: TruncationPolicy, radii: tuple, workers: int) -> int:
     result = run_paths(
-        model, radius, config.x0, config.delta, config.steps, config.paths,
+        model, radii[0], config.x0, config.delta, config.steps, config.paths,
         config.seed, config.refinement, record_paths=config.paths, workers=workers,
     )
     d = model.dimension
@@ -182,19 +187,18 @@ def _cmd_simulate(config: RunConfig, model: SdeModel, workers: int) -> int:
     return 0
 
 
-def _cmd_exponent(config: RunConfig, model: SdeModel, workers: int) -> int:
+def _cmd_exponent(config: RunConfig, model: SdeModel, policy: TruncationPolicy, radii: tuple, workers: int) -> int:
     run = run_stability_mc(
-        model, default_policy(model), config.scheme, config.p, config.x0, config.delta,
+        model, radii[0], config.scheme, config.p, config.x0, config.delta,
         config.steps, config.paths, config.seed,
         refinement=config.refinement, workers=workers,
     )
     est = run.moments
+    horizon = config.steps * config.delta
+    fit = fit_exponent(est, (config.window[0] * horizon, config.window[1] * horizon))
     columns = est.times.tolist(), est.means.tolist(), est.stderrs.tolist(), (est.paths - est.alive).tolist()
     _write_csv(f"{config.out}_moment.csv", ["t", "moment", "stderr", "censored"],
                ("%.17g,%.17g,%.17g,%d\n" % row for row in zip(*columns)))
-    horizon = config.steps * config.delta
-    window = (config.window[0] * horizon, config.window[1] * horizon)
-    fit = fit_exponent(est, window)
     _write_csv(
         f"{config.out}_fit.csv",
         ["slope", "intercept", "window_lo", "window_hi", "r_squared", "censored", "diverged_paths"],
@@ -212,25 +216,21 @@ def _cmd_exponent(config: RunConfig, model: SdeModel, workers: int) -> int:
     return 0
 
 
-def _cmd_verify(config: RunConfig, model: SdeModel, workers: int) -> int:
-    policy = default_policy(model)
-    h = policy.radius(config.delta)
-
+def _cmd_verify(config: RunConfig, model: SdeModel, policy: TruncationPolicy, radii: tuple, workers: int) -> int:
+    (h,) = radii
     ladder = [config.delta, config.delta / 10.0, config.delta / 100.0]
     step_report = verify_step_condition(policy, model.lipschitz_bound, ladder)
-    step_verdict = "pass" if step_report.passed else "fail"
+    lam_hat = estimate_lambda(model, config.p, SamplingPlan(seed=config.seed))
+    lip = verify_lemma_global_lipschitz(model, h, seed=config.seed)
+    preserved = verify_lemma_lambda_preserved(model, h, config.p, lam_hat, seed=config.seed)
+    step_verdict, drift, diffusion, lam = ("pass" if ok else "fail" for ok in (
+        step_report.passed, lip.drift_passed, lip.diffusion_passed, preserved.passed))
     _write_csv(
         f"{config.out}_step_condition.csv",
         ["delta", "h", "L_h", "product", "verdict"],
         ("%.17g,%.17g,%.17g,%.17g,%s\n" % (r.delta, r.h, r.lipschitz_at_h, r.product, step_verdict)
          for r in step_report.rows),
     )
-
-    lam_hat = estimate_lambda(model, config.p, SamplingPlan(seed=config.seed))
-    lip = verify_lemma_global_lipschitz(model, h, seed=config.seed)
-    preserved = verify_lemma_lambda_preserved(model, h, config.p, lam_hat, seed=config.seed)
-    drift, diffusion, lam = ("pass" if ok else "fail" for ok in (lip.drift_passed, lip.diffusion_passed,
-                                                                   preserved.passed))
     _write_csv(
         f"{config.out}_lemmas.csv",
         ["check", "value", "bound", "verdict"],
@@ -245,8 +245,7 @@ def _cmd_verify(config: RunConfig, model: SdeModel, workers: int) -> int:
     return 0 if step_report.passed and lip.passed and preserved.passed else 3
 
 
-def _cmd_compare(config: RunConfig, model: SdeModel, workers: int) -> int:
-    radii = tuple(scheme_radius(default_policy(model), name, config.delta) for name in SCHEMES)
+def _cmd_compare(config: RunConfig, model: SdeModel, policy: TruncationPolicy, radii: tuple, workers: int) -> int:
     # one run, a lane per scheme on each path drawn once; tallies cover every path, the CSV a few
     n_show = min(config.paths, COMPARE_TRAJECTORY_PATHS)
     schemes = run_paths(model, radii, config.x0, config.delta, config.steps, config.paths,
@@ -278,22 +277,28 @@ def _cmd_compare(config: RunConfig, model: SdeModel, workers: int) -> int:
     return 0
 
 
-# Every subcommand: its runner and its --help text.
+# Every subcommand: its runner, the schemes it steps (None: the configured one) and its --help text.
 _COMMANDS = {
-    "simulate": (_cmd_simulate, "write per-path trajectories as CSV"),
-    "exponent": (_cmd_exponent, "estimate the moment curve, fitted exponent, and pathwise exponents"),
-    "verify": (_cmd_verify, "run the step-condition and lemma verifiers"),
-    "compare": (_cmd_compare, "run mtem and em on identical Brownian paths"),
+    "simulate": (_cmd_simulate, None, "write per-path trajectories as CSV"),
+    "exponent": (_cmd_exponent, None, "estimate the moment curve, fitted exponent, and pathwise exponents"),
+    "verify": (_cmd_verify, ("mtem",), "run the step-condition and lemma verifiers"),
+    "compare": (_cmd_compare, SCHEMES, "run mtem and em on identical Brownian paths"),
 }
 SUBCOMMANDS = tuple(_COMMANDS)
 
 
 def run_command(subcommand: str, config: RunConfig, workers: int = 1) -> int:
-    """Execute a subcommand; writes its CSV artifacts plus a run manifest."""
+    """Execute a subcommand; writes its CSV artifacts plus a run manifest once every result is computed."""
     if subcommand not in _COMMANDS:
         raise InputError(f"unknown subcommand {subcommand!r}; expected one of {SUBCOMMANDS}")
+    runner, schemes, _ = _COMMANDS[subcommand]
     model = get_model(config.model, config.mu, config.sigma)
-    status = _COMMANDS[subcommand][0](config, model, workers)
+    policy = default_policy(model)
+    try:  # compare and verify step mtem whatever the configured scheme, so its policy bounds delta there too
+        radii = tuple(scheme_radius(policy, name, config.delta) for name in schemes or (config.scheme,))
+    except InputError as exc:
+        raise ConfigError(str(exc)) from None
+    status = runner(config, model, policy, radii, workers)
     _write_manifest(config, subcommand)
     return status
 
@@ -304,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate and verify the truncated-coefficient explicit Euler scheme.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text) in _COMMANDS.items():
+    for name, (*_, text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", help="key=value config file; flags override it")
         for key, (_, text) in _KEYS.items():
@@ -320,8 +325,11 @@ def main(argv=None) -> int:
     try:
         text = None
         if args.config is not None:
-            with open(args.config) as fh:
-                text = fh.read()
+            try:  # UTF-8 under any locale, strictly
+                with open(args.config, encoding="utf-8") as fh:
+                    text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"config: {exc}") from None
         flags = {key: getattr(args, key) for key in _KEYS}
         config = parse_config(text=text, flags=flags)
         return run_command(args.command, config, workers=max(1, args.workers))

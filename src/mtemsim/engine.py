@@ -302,11 +302,12 @@ def run_paths(
     record_paths * steps).  Terminal state norms are always kept.  Segments
     hold ``CHUNK_PATHS`` paths, and a lane freezes beyond ``OVERFLOW_GUARD``.
 
-    ``radius`` is one truncation radius > 0 (+inf for none) or several, which
-    step each path as lanes of one run, sharing its increments, drawn once.
-    The result then holds ``len(radius) * paths`` lanes, radius-major, and
-    ``split`` gives one result per radius, byte for byte equal to a run under
-    that radius alone.  Moment sums need a single radius.
+    ``radius`` is one truncation radius > 0 (+inf for none) or several, in a
+    tuple, list or one-dimensional array, which step each path as lanes of
+    one run, sharing its increments, drawn once.  The result then holds
+    ``len(radius) * paths`` lanes, radius-major, and ``split`` gives one
+    result per radius, byte for byte equal to a run under that radius alone.
+    Moment sums need a single radius.
 
     With ``os.fork`` and ``jobs = min(workers, segments per window) >= 2`` the
     run forks ``jobs`` drawers, at most ``WINDOW_SEGMENTS`` (8); drawer
@@ -317,17 +318,18 @@ def run_paths(
     A drawer's error is re-raised as its own type, or as a RuntimeError with
     its traceback, and a drawer that dies without replying raises DrawerError.
     Every drawer is reaped before the call returns or raises.  A bad count,
-    seed or step size, or a moment order that is not finite, raises InputError,
-    and a size numpy cannot index MemoryError, before anything is allocated.
+    seed, step size or radius, or a moment order that is not finite, raises
+    InputError, and a size numpy cannot index MemoryError, before anything is
+    allocated.
     """
     paths, steps = _check_count("paths", paths), _check_count("steps", steps)
     refinement, record_paths = _check_count("refinement", refinement), _check_count("record_paths", record_paths, 0)
     master_seed, delta = _check_seed("master_seed", master_seed), _check_step("delta", delta)
     moment_p = None if moment_p is None else _check_real("moment_p", moment_p)
-    copies = np.size(radius)
-    if copies != 1 and (copies == 0 or moment_p is not None):
+    radii = list(radius) if isinstance(radius, (tuple, list)) or np.ndim(radius) > 0 else [radius]
+    if (copies := len(radii)) != 1 and (copies == 0 or moment_p is not None):
         raise InputError("give a radius, and a single one for moment sums")
-    radius = np.array([resolve_radius(r) for r in np.ravel(radius)])  # each one positive, +inf for none
+    radius = np.array([resolve_radius(r) for r in radii])  # each one positive, +inf for none; no nested one
     x0_row, chunk = as_state(model, x0, "x0"), CHUNK_PATHS
     width = WINDOW_SEGMENTS * chunk
     block = min(steps, BLOCK_STEPS)

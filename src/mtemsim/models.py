@@ -12,6 +12,7 @@ same callables serve single-state evaluation and batched path simulation.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 import warnings
@@ -83,8 +84,7 @@ class StabilityParams:
 
     def __post_init__(self):
         _check_moment_order(self.p)
-        if not self.lam > 0.0:
-            raise InputError(f"lambda must be positive, got {self.lam}")
+        _check_step("lam", self.lam)
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,10 @@ class SamplingPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.r_min < self.r_max:
+        r_min, r_max = _check_radius("r_min", self.r_min), _check_radius("r_max", self.r_max)
+        if not r_min < r_max:
             raise InputError(f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]")
-        if not np.isfinite(float(self.r_max) / float(self.r_min)):  # the count of decades sampled
+        if not math.isfinite(r_max / r_min):  # the count of decades sampled
             raise InputError(f"r_max / r_min must be finite, got {self.r_max} / {self.r_min}")
         _check_count("radii_per_decade", self.radii_per_decade)
         _check_count("directions_per_radius", self.directions_per_radius)
@@ -113,7 +114,7 @@ class SamplingPlan:
 
 
 def _check_moment_order(p) -> None:
-    if not 0.0 < p < 1.0:
+    if not 0.0 < _check_real("p", p) < 1.0:
         raise InputError(f"p: the moment order must lie in (0, 1), got {p}")
 
 
@@ -146,6 +147,14 @@ def _check_step(name: str, value) -> float:
     return float(value)
 
 
+def _check_radius(name: str, value) -> float:
+    """``value`` as a float if it is a truncation radius: a positive real number, but not a bool, or +inf for none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            0.0 < value <= sys.float_info.max or value == math.inf):  # also an int too large for a float
+        raise InputError(f"{name}: must be a positive real number or inf, got {value!r}")
+    return float(value)
+
+
 def _check_size(*counts: int) -> None:
     """``MemoryError`` if an array of any of ``counts`` 8-byte values is more than numpy can index."""
     for n in counts:  # numpy would refuse it with a ValueError, or allocate first
@@ -155,6 +164,8 @@ def _check_size(*counts: int) -> None:
 
 def as_state(model: SdeModel, x, name: str = "state") -> np.ndarray:
     """Coerce ``x``, whose errors are named ``name``, to a float vector of the model's dimension."""
+    if np.asarray(x).dtype.kind not in "biuf":  # numpy would parse text, such as "1"
+        raise InputError(f"{name}: must be a real number or numbers, got {x!r}")
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.shape != (model.dimension,):
         raise InputError(f"{name}: has shape {arr.shape}, expected ({model.dimension},) for model {model.name!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .models import SdeModel, _at_state, _check_count, _check_seed, _check_size, _check_step, state_norms
+from .models import SdeModel, _at_state, _check_count, _check_real, _check_seed, _check_size, _check_step, state_norms
 from .truncation import resolve_radius, truncation_factors
 
 __all__ = [
@@ -107,8 +107,6 @@ def scheme_radius(policy_or_radius, scheme: str, delta: float) -> float:
     if scheme == "em":
         return math.inf
     if scheme == "mtem":
-        if policy_or_radius is None:
-            raise InputError("the mtem scheme requires a truncation policy or radius")
         return resolve_radius(policy_or_radius, delta)
     raise InputError(f"scheme: must be one of {', '.join(SCHEMES)}, got {scheme!r}")
 
@@ -136,10 +134,9 @@ def advance_states(
 
 def step_mtem(model: SdeModel, policy_or_radius, x, delta: float, db: float) -> np.ndarray:
     """Single truncated Euler step from state ``x`` with increment ``db``; ``EvaluationError`` if it is not finite."""
-    delta = _check_step("delta", delta)
+    delta, db = _check_step("delta", delta), _check_real("db", db)
     h = resolve_radius(policy_or_radius, delta)
-    return _at_state(model, x, lambda xs: advance_states(model, h, xs, delta, np.array([float(db)])),
-                     "truncated Euler step")
+    return _at_state(model, x, lambda xs: advance_states(model, h, xs, delta, np.array([db])), "truncated Euler step")
 
 
 def interpolate_step_process(record: TrajectoryRecord, t: float) -> np.ndarray:
@@ -149,8 +146,8 @@ def interpolate_step_process(record: TrajectoryRecord, t: float) -> np.ndarray:
     last recorded state.  Times within a relative 1e-9 of a grid point snap
     to it.
     """
-    horizon = record.num_steps * record.delta
-    if not 0.0 <= t <= horizon * (1.0 + _GRID_SNAP) + _GRID_SNAP * record.delta:  # nan too
+    horizon, t = record.num_steps * record.delta, _check_real("t", t)
+    if not 0.0 <= t <= horizon * (1.0 + _GRID_SNAP) + _GRID_SNAP * record.delta:
         raise InputError(f"time {t} outside the recorded horizon [0, {horizon}]")
     u = t / record.delta
     k = int(math.floor(u))
@@ -174,7 +171,7 @@ def interpolate_continuous_mtem(
     step's fine increments, so the interpolant hits every recorded state
     exactly at the coarse grid points.  ``t`` must lie on the fine grid
     (multiples of delta / refinement); anything else is rejected rather than
-    silently bridged.
+    silently bridged.  ``EvaluationError`` if the interpolated state is not finite.
     """
     if path.delta != record.delta:
         raise InputError(f"path delta {path.delta} differs from record delta {record.delta}")
@@ -183,8 +180,8 @@ def interpolate_continuous_mtem(
     h = resolve_radius(policy_or_radius, record.delta)
     m = path.refinement
     fine_dt = record.delta / m
-    u = t / fine_dt
-    if not -0.5 <= u < record.num_steps * m + 0.5:  # nan too: the nearest fine point must be recorded
+    u = _check_real("t", t) / fine_dt
+    if not -0.5 <= u < record.num_steps * m + 0.5:  # the nearest fine point must be recorded
         raise InputError(f"time {t} outside the recorded horizon")
     idx = int(math.floor(u + 0.5))
     if abs(u - idx) > _GRID_SNAP * max(1.0, abs(u)):
@@ -192,7 +189,6 @@ def interpolate_continuous_mtem(
     k, j = divmod(idx, m)
     if j == 0:
         return record.states[k].copy()
-    x = record.states[k]
-    db = float(np.sum(path.fine[k, :j]))
-    dt = j * fine_dt
-    return advance_states(model, h, x[None, :], dt, np.array([db]))[0]
+    db = np.array([np.sum(path.fine[k, :j])])
+    return _at_state(model, record.states[k], lambda xs: advance_states(model, h, xs, j * fine_dt, db),
+                     "interpolated state")

@@ -17,7 +17,8 @@ import numpy as np
 from .engine import run_paths
 from .errors import EstimationError, InputError
 from .models import (LAMBDA_TOLERANCE, SamplingPlan, SdeModel, _check_count, _check_finite, _check_moment_order,
-                     _check_real, _check_seed, _gaussian_directions, _sampled_functional, sample_states, state_norms)
+                     _check_real, _check_seed, _check_step, _gaussian_directions, _sampled_functional, sample_states,
+                     state_norms)
 from .schemes import scheme_radius
 from .truncation import truncated_batch
 
@@ -190,7 +191,7 @@ def estimate_as_exponent(
     **kwargs,
 ) -> PathwiseExponentSummary:
     """Per-path decay exponents at the terminal time, with quantiles and max."""
-    if steps * delta < 1.0:
+    if _check_count("steps", steps) * _check_step("delta", delta) < 1.0:
         raise InputError(f"terminal time {steps * delta} must be >= 1 for a pathwise exponent")
     radius = scheme_radius(policy_or_radius, scheme, delta)
     return _pathwise_summary(run_paths(model, radius, x0, delta, steps, paths, seed, **kwargs))
@@ -204,7 +205,7 @@ def fit_exponent(estimate: MomentEstimate, window: tuple[float, float]) -> Expon
     at fault and an ``EstimationError`` is raised.  Points clamped at the
     floor, as pathwise exponents are, are counted as censored but kept in the fit.
     """
-    t_lo, t_hi = float(window[0]), float(window[1])
+    t_lo, t_hi = _check_real("window", window[0]), _check_real("window", window[1])
     times = estimate.times
     horizon = times[-1]
     snap = 1e-9 * horizon
@@ -292,11 +293,9 @@ def verify_lemma_global_lipschitz(
     truncated drift or diffusion is not finite, or a pair whose difference
     quotient overflows, raises ``EvaluationError``.
     """
-    trials, seed = _check_count("trials", trials), _check_seed("seed", seed)
-    h = float(radius)
-    outer = LIPSCHITZ_RADIUS_MULTIPLE * h
-    if not (0.0 < h and outer < np.inf):  # h itself too
-        raise InputError(f"radius must be positive and finite, got {radius}, and so must 10 h")
+    trials, seed, h = _check_count("trials", trials), _check_seed("seed", seed), _check_step("radius", radius)
+    if (outer := LIPSCHITZ_RADIUS_MULTIPLE * h) == np.inf:
+        raise InputError(f"radius: 10 h must be finite, got {radius!r}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
     n_inside = trials // 3
     n_outside = trials // 3
@@ -355,13 +354,10 @@ def verify_lemma_lambda_preserved(
     but may have either sign, as a sampled estimate for an unstable model
     does.  A sampled value that is not finite raises ``EvaluationError``.
     """
-    h = float(radius)
-    r_min, r_max = h / 100.0, 100.0 * h
-    if not (0.0 < r_min and r_max < np.inf):  # h itself too
-        raise InputError(f"radius must be positive and finite, got {radius}, and so must h / 100 and 100 h")
+    h = _check_step("radius", radius)
     _check_moment_order(p)
     lam = _check_real("lam", lam)
-    points = sample_states(SamplingPlan(r_min=r_min, r_max=r_max, seed=seed), model.dimension)
+    points = sample_states(SamplingPlan(r_min=h / 100.0, r_max=100.0 * h, seed=seed), model.dimension)
     values = _sampled_functional(points, lambda s: truncated_batch(model.drift, s, h),
                                  lambda s: truncated_batch(model.diffusion, s, h), p)
     sup = float(np.max(values))

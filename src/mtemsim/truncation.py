@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BracketError, InputError
-from .models import SdeModel, _at_state, _check_step, state_norms
+from .models import SdeModel, _at_state, _check_radius, _check_step, state_norms
 
 __all__ = [
     "TruncationPolicy",
@@ -55,17 +55,13 @@ class TruncationPolicy:
     delta_star: float
 
     def __post_init__(self):
-        if not self.delta_star > 0.0:
-            raise InputError(f"delta_star must be positive, got {self.delta_star}")
+        _check_step("delta_star", self.delta_star)
 
     def radius(self, delta: float) -> float:
         """h(delta); rejects step sizes outside (0, delta_star]."""
         if (delta := _check_step("delta", delta)) > self.delta_star:
             raise InputError(f"delta: {delta} exceeds the truncation policy's validity bound {self.delta_star}")
-        h = float(self.radius_fn(delta))
-        if not (np.isfinite(h) and h > 0.0):
-            raise InputError(f"policy produced a non-positive radius {h} at delta = {delta}")
-        return h
+        return _check_step("radius", self.radius_fn(delta))
 
 
 def derive_h_from_lipschitz(lipschitz_bound: Callable[[float], float], delta: float,
@@ -80,7 +76,7 @@ def derive_h_from_lipschitz(lipschitz_bound: Callable[[float], float], delta: fl
     ``tol`` bounds the final bisection width and defaults to 1e-12 times the
     upper end of the search interval.
     """
-    delta = _check_step("delta", delta)
+    delta, tol = _check_step("delta", delta), None if tol is None else _check_step("tol", tol)
 
     def decay(radius: float) -> float:
         level = lipschitz_bound(radius)
@@ -104,8 +100,6 @@ def derive_h_from_lipschitz(lipschitz_bound: Callable[[float], float], delta: fl
 
     if tol is None:
         tol = 1e-12 * hi
-    if not tol > 0.0:
-        raise InputError(f"tol must be positive, got {tol}")
 
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -157,10 +151,7 @@ def resolve_radius(policy_or_radius, delta: float | None = None) -> float:
         if delta is None:
             raise InputError("a step size is required to evaluate a TruncationPolicy")
         return policy_or_radius.radius(delta)
-    h = float(policy_or_radius)
-    if np.isnan(h) or h <= 0.0:
-        raise InputError(f"truncation radius must be positive, got {h}")
-    return h
+    return _check_radius("radius", policy_or_radius)
 
 
 def truncation_factors(norms: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
@@ -234,9 +225,9 @@ def verify_step_condition(
         raise InputError("at least one step size is required")
     rows = []
     for delta in deltas:
-        h = policy.radius(float(delta))  # validates (0, delta_star]
-        level = float(lipschitz_bound(h))
-        rows.append(StepConditionRow(float(delta), h, level, level**4 * float(delta)))
+        h = policy.radius(delta)  # validates (0, delta_star]
+        delta, level = _check_step("delta", delta), float(lipschitz_bound(h))
+        rows.append(StepConditionRow(delta, h, level, level**4 * delta))
     ordered = sorted(rows, key=lambda row: row.delta, reverse=True)
     passed = all(
         later.product <= earlier.product * (1.0 + 1e-12)

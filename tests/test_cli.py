@@ -1,7 +1,9 @@
 import math
 import os
+import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -339,3 +341,78 @@ def test_python_dash_m_mtemsim_runs_the_cli_cleanly(tmp_path):
     done = subprocess.run([sys.executable, "-m", "mtemsim", *argv], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
     assert (tmp_path / "s_paths.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["compare", "verify"])
+def test_a_step_beyond_the_mtem_bound_is_refused_before_compare_or_verify_writes(tmp_path, capsys, command):
+    # both step mtem whatever scheme says, so the mtem policy bounds delta there too
+    assert main([command, "--scheme", "em", "--delta", "1e-2", "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: delta: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_exponent_window_too_short_to_fit_writes_nothing(tmp_path, capsys):
+    argv = ["exponent", "--steps", "5", "--paths", "2", "--refinement", "1", "--out", str(tmp_path / "r")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: fit window ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("config, flags, message", [
+    (b"model=example41\nx0=2.\xff\n", [], "config: 'utf-8' codec can't decode byte 0xff"),
+    (b"out=r\x00s\n", [], "out: must be a non-empty path prefix without a NUL"),
+    (None, ["--out", "r\udcff"], "out: must encode as UTF-8"),  # how argv holds the byte 0xff
+], ids=["config-not-utf-8", "out-with-nul", "out-not-utf-8"])
+def test_bytes_the_cli_cannot_read_or_write_are_one_configuration_error(tmp_path, monkeypatch, capsys, config,
+                                                                        flags, message):
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--steps", "2", "--paths", "2", "--refinement", "1", *flags]
+    if config is not None:
+        (tmp_path.parent / "bytes.cfg").write_bytes(config)
+        argv += ["--config", str(tmp_path.parent / "bytes.cfg")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {message}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+_VALID_CONFIG = b"# mtemsim 0.1.0\nmodel=example41\nscheme=mtem\np=0.5\ndelta=0.0005\nseed=7\nx0=2.0\nwindow=0.4:1.0\n"
+
+
+def _mutated_configs(count: int, seed: int) -> list[bytes]:
+    """``count`` copies of the valid config, each with 1 to 4 bytes inserted, deleted or replaced by any byte."""
+    rng, configs = random.Random(seed), []
+    for _ in range(count):
+        data = bytearray(_VALID_CONFIG)
+        for _ in range(rng.randint(1, 4)):
+            edit, byte = rng.randrange(3), rng.randrange(256)
+            at = rng.randrange(len(data) + (edit == 0))
+            if edit == 0:
+                data.insert(at, byte)
+            elif edit == 1:
+                del data[at]
+            else:
+                data[at] = byte
+        configs.append(bytes(data))
+    return configs
+
+
+_MUTATED = _mutated_configs(300, seed=8)
+# tiny runs; exponent needs 10 grid points in its window
+_MUTATION_RUNS = [["simulate", "--steps", "2"], ["exponent", "--steps", "20"], ["compare", "--steps", "2"]]
+
+
+@pytest.mark.parametrize("index", range(len(_MUTATED)))
+def test_a_config_with_any_bytes_exits_with_a_documented_code_and_one_line(tmp_path, capsys, index):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(_MUTATED[index])
+    argv = [*_MUTATION_RUNS[index % 3], "--paths", "2", "--refinement", "1", "--config", str(config),
+            "--out", str(tmp_path / "r")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4, 5)
+    assert out == "" and err.count("\n") <= 1 and "Traceback" not in err

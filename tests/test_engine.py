@@ -262,7 +262,7 @@ def test_several_radii_refuse_moment_sums():
                          ids=["negative", "nan", "zero", "lane-negative", "lane-nan"])
 def test_a_radius_that_is_not_positive_is_refused_before_any_drawer_starts(radius, monkeypatch):
     monkeypatch.setattr(engine, "CHUNK_PATHS", 2)
-    with pytest.raises(InputError, match="radius must be positive"):
+    with pytest.raises(InputError, match="radius: must be a positive real number or inf"):
         run_paths(m.example41(), radius, 2.0, 5e-4, 20, 4, 1, workers=2)
     with pytest.raises(ChildProcessError):  # no child left, running or unreaped
         os.waitpid(-1, os.WNOHANG)

@@ -100,3 +100,25 @@ def test_each_input_rule_is_stated_in_models_only():
     names = {node.attr if isinstance(node, ast.Attribute) else node.id for node in ast.walk(_tree("cli"))
              if isinstance(node, (ast.Attribute, ast.Name))}
     assert not names & {"isfinite", "delta_star"}
+
+
+def _float_of_an_argument(function: ast.FunctionDef) -> list[str]:
+    """The ``float(...)`` calls in ``function`` whose argument is one of its parameters or an item of one."""
+    args = function.args
+    params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a}
+    items = {target.id for node in ast.walk(function) if isinstance(node, (ast.For, ast.comprehension))
+             and isinstance(node.iter, ast.Name) and node.iter.id in params
+             for target in ast.walk(node.target) if isinstance(target, ast.Name)}
+    return [ast.unparse(node) for node in ast.walk(function)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float" and node.args
+            and ((isinstance(arg := node.args[0], ast.Name) and arg.id in params | items)
+                 or (isinstance(arg, ast.Subscript) and isinstance(arg.value, ast.Name) and arg.value.id in params))]
+
+
+def test_no_function_outside_models_and_cli_coerces_an_argument_with_float():
+    # float() lets True and "2" through as 1.0 and 2.0: an argument meets a models rule instead; the CLI
+    # parses text by design
+    found = {f"{module}.{node.name}": calls for module in LAYERS if module not in ("models", "cli")
+             for node in ast.walk(_tree(module)) if isinstance(node, ast.FunctionDef)
+             if (calls := _float_of_an_argument(node))}
+    assert found == {}

@@ -219,17 +219,21 @@ def test_lemma_lambda_preserved_cases(ex41):
     lambda model: m.verify_lemma_lambda_preserved(model, math.inf, 0.5, 1.0),
 ], ids=["global_lipschitz", "lambda_preserved"])
 def test_the_verifiers_refuse_an_infinite_radius(ex41, verify):
-    with pytest.raises(InputError, match="radius must be positive and finite, got inf"):
+    with pytest.raises(InputError, match="radius: must be finite and real, got inf"):
         verify(ex41)
 
 
-@pytest.mark.parametrize("verify, radius", [
-    (lambda model, h: m.verify_lemma_lambda_preserved(model, h, 0.5, 1.0), 1e307),  # 100 h is inf
-    (lambda model, h: m.verify_lemma_global_lipschitz(model, h, trials=30), 1e308),  # 10 h is inf
-    (lambda model, h: m.verify_lemma_lambda_preserved(model, h, 0.5, 1.0), 1e-323),  # h / 100 is 0
+# the lambda verifier leaves its range [h / 100, 100 h] to the rules of SamplingPlan
+@pytest.mark.parametrize("verify, radius, match", [
+    (lambda model, h: m.verify_lemma_lambda_preserved(model, h, 0.5, 1.0), 1e307,
+     "r_max / r_min must be finite"),  # 100 h is inf
+    (lambda model, h: m.verify_lemma_global_lipschitz(model, h, trials=30), 1e308,
+     re.escape("radius: 10 h must be finite, got 1e+308")),  # 10 h is inf
+    (lambda model, h: m.verify_lemma_lambda_preserved(model, h, 0.5, 1.0), 1e-323,
+     "r_min: must be a positive real number or inf, got 0.0"),  # h / 100 is 0
 ], ids=["lambda_preserved_huge", "global_lipschitz_huge", "lambda_preserved_tiny"])
-def test_the_verifiers_refuse_a_radius_whose_sampling_range_is_not_positive_and_finite(ex41, verify, radius):
-    with pytest.raises(InputError, match=re.escape(str(radius))):
+def test_the_verifiers_refuse_a_radius_whose_sampling_range_is_not_positive_and_finite(ex41, verify, radius, match):
+    with pytest.raises(InputError, match=match):
         verify(ex41, radius)
 
 
@@ -282,6 +286,11 @@ RADIUS_TAKERS = {
     "eval_f_delta": lambda model, h: m.eval_f_delta(model, h, 1.0),
     "eval_g_delta": lambda model, h: m.eval_g_delta(model, h, 1.0),
     "step_mtem": lambda model, h: m.step_mtem(model, h, 1.0, 1e-3, 0.1),
+    "simulate_path": lambda model, h: m.simulate_path(model, h, "mtem", 1.0, 1e-3, 5,
+                                                      m.BrownianPath.generate(1, 0, 1e-3, 5, 2)),
+    "interpolate_continuous_mtem": lambda model, h: m.interpolate_continuous_mtem(
+        model, h, *_record_and_path(model), 5e-4),  # half a step: the radius truncates the interpolant
+    "run_stability_mc": lambda model, h: m.run_stability_mc(model, h, "mtem", 0.5, 1.0, 1e-3, 5, 3, 1),
 }
 
 
@@ -295,7 +304,16 @@ def test_a_hostile_radius_returns_or_raises_a_library_error(ex41, call, radius):
         pass
 
 
-HOSTILE_VALUES = [0, -1, math.nan, -math.inf, math.inf, 1e308, 1e-323, 2**63, True]
+@pytest.mark.parametrize("radius", [True, "2", None], ids=repr)
+@pytest.mark.parametrize("call", RADIUS_TAKERS)
+def test_a_radius_that_is_not_a_real_number_is_an_input_error(ex41, call, radius):
+    # the words of models._check_radius or _check_step, before any other rule or a numpy warning
+    with warnings.catch_warnings(), pytest.raises(InputError, match="^radius: must be "):
+        warnings.simplefilter("error")
+        RADIUS_TAKERS[call](ex41, radius)
+
+
+HOSTILE_VALUES = [0, -1, math.nan, -math.inf, math.inf, 1e308, 1e-323, 2**63, True, "2", None]
 _VALID_SEEDS = (0, 2**63)  # a seed is any non-negative integer
 
 
@@ -304,9 +322,15 @@ def _record_and_path(model):
     return m.simulate_path(model, 1.5, "mtem", 1.0, 1e-3, 5, path), path
 
 
-# Every public entry point that takes a count, a seed, a time, a moment order, a step size, a real
-# parameter or a single state, with the values of HOSTILE_VALUES it accepts; a count is an integer in
-# [least, 2**63), a seed one >= 0, a step size a finite real > 0, a real parameter any finite real.
+def _estimate():
+    times = np.linspace(0.0, 1.0, 11)
+    return MomentEstimate(times, np.exp(-times), np.zeros_like(times), np.full(times.size, 5), 5, 0.5, 0)
+
+
+# Every public entry point that takes a count, a seed, a time, a moment order, a step size, a bound, a
+# rate, a real parameter or a single state, with the values of HOSTILE_VALUES it accepts; a count is an
+# integer in [least, 2**63), a seed one >= 0, a step size, bound or rate a finite real > 0, a real
+# parameter any finite real, and a state numbers, not text.
 VALUE_TAKERS = {
     "run_paths-paths": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, 5, v, 1), ()),
     "run_paths-steps": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, v, 3, 1), ()),
@@ -314,7 +338,7 @@ VALUE_TAKERS = {
     "run_paths-record_paths": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, 5, 3, 1, record_paths=v), (0,)),
     "run_paths-master_seed": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, 5, 3, v), _VALID_SEEDS),
     "run_paths-moment_p": (lambda model, v: run_paths(model, 1.5, 2.0, 1e-3, 5, 3, 1, moment_p=v),
-                           (0, -1, 1e308, 1e-323, 2**63)),  # any finite order: |x|^p may overflow
+                           (0, -1, 1e308, 1e-323, 2**63, None)),  # any finite order: |x|^p may overflow; None: no sums
     "run_paths-delta": (lambda model, v: run_paths(model, 1.5, 1.0, v, 5, 3, 1), (1e308, 1e-323, 2**63)),
     "run_stability_mc-paths": (lambda model, v: m.run_stability_mc(model, 1.5, "mtem", 0.5, 1.0, 1e-3, 5, v, 1),
                                ()),  # at least 2
@@ -345,6 +369,19 @@ VALUE_TAKERS = {
                                    (0, 1e-323)),  # the horizon is 5e-3
     "interpolate_continuous_mtem-t": (lambda model, v: m.interpolate_continuous_mtem(
         model, 1.5, *_record_and_path(model), v), (0, 1e-323)),
+    "TruncationPolicy-delta_star": (lambda model, v: m.TruncationPolicy(lambda d: 1.0, v), (1e308, 1e-323, 2**63)),
+    "StabilityParams-lam": (lambda model, v: m.StabilityParams(0.5, v), (1e308, 1e-323, 2**63)),
+    "derive_h_from_lipschitz-tol": (lambda model, v: m.derive_h_from_lipschitz(model.lipschitz_bound, 1e-3, tol=v),
+                                    (1e308, 1e-323, 2**63, None)),  # None: 1e-12 times the bracket's upper end
+    "SamplingPlan-r_min": (lambda model, v: SamplingPlan(r_min=v), ()),  # r_max is 1e3: 1e3 / 1e-323 is inf
+    "SamplingPlan-r_max": (lambda model, v: SamplingPlan(r_max=v), (2**63,)),  # r_min is 1e-3
+    "step_mtem-db": (lambda model, v: m.step_mtem(model, 1.5, 1.0, 1e-3, v), (0, -1, 1e-323, 2**63)),  # 1e308: inf
+    "fit_exponent-window_lo": (lambda model, v: m.fit_exponent(_estimate(), (v, 1.0)), (0, 1e-323)),
+    "fit_exponent-window_hi": (lambda model, v: m.fit_exponent(_estimate(), (0.0, v)), ()),  # the horizon is 1
+    "estimate_as_exponent-delta": (lambda model, v: m.estimate_as_exponent(model, 1.5, 1.0, v, 5, 3, 1),
+                                   ()),  # 5 delta < 1, or every path diverges
+    "verify_step_condition-delta": (lambda model, v: m.verify_step_condition(
+        m.default_policy(model), model.lipschitz_bound, [v]), (1e-323,)),  # delta_star is 4^-5
     "stability_functional-x": (lambda model, v: m.stability_functional(model, 0.5, v), (-1, 2**63, True)),
     "evaluate_drift-x": (lambda model, v: m.evaluate_drift(model, v), (0, -1, 1e-323, 2**63, True)),
     "evaluate_diffusion-x": (lambda model, v: m.evaluate_diffusion(model, v), (0, -1, 1e-323, 2**63, True)),
