@@ -115,7 +115,7 @@ def _validate(config: RunConfig) -> RunConfig:
         raise ConfigError(f"out: must encode as UTF-8, got {config.out!r} ({exc.reason})") from None
     try:  # every other rule is the library's, whose messages begin with the key
         model = get_model(config.model, config.mu, config.sigma)
-        _check_moment_order(config.p)
+        _check_moment_order("p", config.p)
         _check_step("delta", config.delta)
         for key in ("steps", "paths", "refinement"):
             _check_count(key, getattr(config, key))

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DrawerError, InputError
-from .models import SdeModel, _check_count, _check_real, _check_seed, _check_size, _check_step, as_state, state_norms
+from .models import (SdeModel, _check_count, _check_moment_order, _check_seed, _check_size, _check_step, as_state,
+                     state_norms)
 from .schemes import BrownianPath, TrajectoryRecord, advance_states, path_generator, scheme_radius
 from .truncation import UNTRUNCATED, resolve_radius
 
@@ -164,8 +165,9 @@ class Lanes:
             self.compensation = compensation
             nseg = -(-count // self.segment)
             sums, sqsums = np.empty((1, nseg)), np.empty((1, nseg))
-            _moment_sums(self.norms, moment_p, self.segment, sums[0], sqsums[0])
-            self.merge(0, sums, sqsums, count)
+            with np.errstate(over="ignore", invalid="ignore"):  # |x0|^(2p) may overflow: stderr at t = 0 is nan
+                _moment_sums(self.norms, moment_p, self.segment, sums[0], sqsums[0])
+                self.merge(0, sums, sqsums, count)
 
     def merge(self, t0: int, sums: np.ndarray, sqsums: np.ndarray, alive) -> None:
         """Add per-segment sums (one row per step from step ``t0``) to the run's sums."""
@@ -318,14 +320,15 @@ def run_paths(
     A drawer's error is re-raised as its own type, or as a RuntimeError with
     its traceback, and a drawer that dies without replying raises DrawerError.
     Every drawer is reaped before the call returns or raises.  A bad count,
-    seed, step size or radius, or a moment order that is not finite, raises
-    InputError, and a size numpy cannot index MemoryError, before anything is
-    allocated.
+    ``workers`` among them, seed, step size or radius, a moment order outside
+    (0, 1), or moment sums over fewer than 2 paths raise InputError, and a
+    size numpy cannot index MemoryError, before anything is allocated.
     """
-    paths, steps = _check_count("paths", paths), _check_count("steps", steps)
+    moment_p = None if moment_p is None else _check_moment_order("moment_p", moment_p)
+    paths, steps = _check_count("paths", paths, 1 if moment_p is None else 2), _check_count("steps", steps)
     refinement, record_paths = _check_count("refinement", refinement), _check_count("record_paths", record_paths, 0)
     master_seed, delta = _check_seed("master_seed", master_seed), _check_step("delta", delta)
-    moment_p = None if moment_p is None else _check_real("moment_p", moment_p)
+    workers = _check_count("workers", workers)
     radii = list(radius) if isinstance(radius, (tuple, list)) or np.ndim(radius) > 0 else [radius]
     if (copies := len(radii)) != 1 and (copies == 0 or moment_p is not None):
         raise InputError("give a radius, and a single one for moment sums")
@@ -333,7 +336,7 @@ def run_paths(
     x0_row, chunk = as_state(model, x0, "x0"), CHUNK_PATHS
     width = WINDOW_SEGMENTS * chunk
     block = min(steps, BLOCK_STEPS)
-    jobs = max(1, min(workers, -(-min(paths, width) // chunk))) if hasattr(os, "fork") else 1
+    jobs = min(workers, -(-min(paths, width) // chunk)) if hasattr(os, "fork") else 1
     shape = (1 + (jobs > 1), block, min(paths, width))  # halves; a step reads one row
     group = max(1, min(chunk, GROUP_NORMALS // (block * refinement)))
     recorded = copies * min(record_paths, paths)

@@ -83,7 +83,7 @@ class StabilityParams:
     lam: float
 
     def __post_init__(self):
-        _check_moment_order(self.p)
+        _check_moment_order("p", self.p)
         _check_step("lam", self.lam)
 
 
@@ -113,9 +113,11 @@ class SamplingPlan:
         _check_seed("seed", self.seed)
 
 
-def _check_moment_order(p) -> None:
-    if not 0.0 < _check_real("p", p) < 1.0:
-        raise InputError(f"p: the moment order must lie in (0, 1), got {p}")
+def _check_moment_order(name: str, value) -> float:
+    """``value`` as a float if it is a moment order: a real number in (0, 1), but not a bool."""
+    if not 0.0 < (p := _check_real(name, value)) < 1.0:
+        raise InputError(f"{name}: the moment order must lie in (0, 1), got {value!r}")
+    return p
 
 
 def _check_count(name: str, value, least: int = 1) -> int:
@@ -164,7 +166,11 @@ def _check_size(*counts: int) -> None:
 
 def as_state(model: SdeModel, x, name: str = "state") -> np.ndarray:
     """Coerce ``x``, whose errors are named ``name``, to a float vector of the model's dimension."""
-    if np.asarray(x).dtype.kind not in "biuf":  # numpy would parse text, such as "1"
+    try:
+        kind = np.asarray(x).dtype.kind
+    except ValueError:  # a ragged nesting of sequences, which numpy refuses as an array of objects
+        kind = "O"
+    if kind not in "biuf":  # numpy would parse text, such as "1"
         raise InputError(f"{name}: must be a real number or numbers, got {x!r}")
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     if arr.shape != (model.dimension,):
@@ -229,7 +235,7 @@ def stability_functional(model: SdeModel, p: float, x) -> float:
     Raises ``DomainError`` at x = 0, where the quotient is undefined, and
     ``EvaluationError`` where its value is not finite.
     """
-    _check_moment_order(p)
+    _check_moment_order("p", p)
     xs = as_state(model, x)
     if not np.any(xs != 0.0):
         raise DomainError("stability functional is undefined at x = 0")
@@ -291,7 +297,7 @@ def estimate_lambda(model: SdeModel, p: float, plan: SamplingPlan | None = None)
     functional is not constant the estimate may overstate lambda; defaults
     cover radii in [1e-3, 1e3].
     """
-    _check_moment_order(p)
+    _check_moment_order("p", p)
     return -_functional_supremum(model, p, plan)
 
 

@@ -108,7 +108,7 @@ class StabilityRun:
 def _moment_estimate(result, p: float) -> MomentEstimate:
     alive = result.alive
     safe = np.maximum(alive, 1)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a moment that overflows: nan stderr
         means = np.where(alive > 0, result.moment_sum / safe, np.nan)
         var = (result.moment_sqsum - safe * means * means) / np.maximum(alive - 1, 1)
         var = np.maximum(var, 0.0)
@@ -133,12 +133,9 @@ def _pathwise_summary(result) -> PathwiseExponentSummary:
     )
 
 
-def _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, **kwargs):
-    """Validate a moment run and step it with per-step |X_k|^p sums switched on."""
-    _check_count("paths", paths, 2)
-    _check_moment_order(p)
+def _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, refinement, workers):
     radius = scheme_radius(policy_or_radius, scheme, delta)
-    return run_paths(model, radius, x0, delta, steps, paths, seed, moment_p=p, **kwargs)
+    return run_paths(model, radius, x0, delta, steps, paths, seed, refinement, moment_p=p, workers=workers)
 
 
 def run_stability_mc(
@@ -151,14 +148,14 @@ def run_stability_mc(
     steps: int,
     paths: int,
     seed: int,
-    **kwargs,
+    *, refinement: int = 1, workers: int = 1,
 ) -> StabilityRun:
     """One Monte Carlo pass yielding both the moment curve and the pathwise summary.
 
-    Keywords (``refinement``, ``workers``, ...) go to ``run_paths``.  Terminal
+    ``refinement`` and ``workers`` go to ``run_paths``, whose rules every argument meets.  Terminal
     norms at or below ``UNDERFLOW_FLOOR`` are floored there and counted as censored.
     """
-    result = _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, **kwargs)
+    result = _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, refinement, workers)
     return StabilityRun(_moment_estimate(result, p), _pathwise_summary(result))
 
 
@@ -172,10 +169,10 @@ def estimate_moment_curve(
     steps: int,
     paths: int,
     seed: int,
-    **kwargs,
+    *, refinement: int = 1, workers: int = 1,
 ) -> MomentEstimate:
     """Sample mean of |X_k|^p at every step, over ``paths`` independent paths."""
-    result = _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, **kwargs)
+    result = _moment_run(model, policy_or_radius, scheme, p, x0, delta, steps, paths, seed, refinement, workers)
     return _moment_estimate(result, p)
 
 
@@ -188,13 +185,13 @@ def estimate_as_exponent(
     paths: int,
     seed: int,
     scheme: str = "mtem",
-    **kwargs,
+    *, refinement: int = 1, workers: int = 1,
 ) -> PathwiseExponentSummary:
     """Per-path decay exponents at the terminal time, with quantiles and max."""
     if _check_count("steps", steps) * _check_step("delta", delta) < 1.0:
         raise InputError(f"terminal time {steps * delta} must be >= 1 for a pathwise exponent")
     radius = scheme_radius(policy_or_radius, scheme, delta)
-    return _pathwise_summary(run_paths(model, radius, x0, delta, steps, paths, seed, **kwargs))
+    return _pathwise_summary(run_paths(model, radius, x0, delta, steps, paths, seed, refinement, workers=workers))
 
 
 def fit_exponent(estimate: MomentEstimate, window: tuple[float, float]) -> ExponentFit:
@@ -205,7 +202,11 @@ def fit_exponent(estimate: MomentEstimate, window: tuple[float, float]) -> Expon
     at fault and an ``EstimationError`` is raised.  Points clamped at the
     floor, as pathwise exponents are, are counted as censored but kept in the fit.
     """
-    t_lo, t_hi = _check_real("window", window[0]), _check_real("window", window[1])
+    try:
+        t_lo, t_hi = window
+    except (TypeError, ValueError):
+        raise InputError(f"window: must be a pair (t_lo, t_hi), got {window!r}") from None
+    t_lo, t_hi = _check_real("window", t_lo), _check_real("window", t_hi)
     times = estimate.times
     horizon = times[-1]
     snap = 1e-9 * horizon
@@ -355,8 +356,7 @@ def verify_lemma_lambda_preserved(
     does.  A sampled value that is not finite raises ``EvaluationError``.
     """
     h = _check_step("radius", radius)
-    _check_moment_order(p)
-    lam = _check_real("lam", lam)
+    p, lam = _check_moment_order("p", p), _check_real("lam", lam)
     points = sample_states(SamplingPlan(r_min=h / 100.0, r_max=100.0 * h, seed=seed), model.dimension)
     values = _sampled_functional(points, lambda s: truncated_batch(model.drift, s, h),
                                  lambda s: truncated_batch(model.diffusion, s, h), p)

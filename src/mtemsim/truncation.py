@@ -13,8 +13,8 @@ functional outside the ball.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -221,8 +221,8 @@ def verify_step_condition(
     over the supplied grid, the checkable finite surrogate of the vanishing
     limit the policy must satisfy.
     """
-    if len(deltas) == 0:
-        raise InputError("at least one step size is required")
+    if not (isinstance(deltas, Sequence) or isinstance(deltas, np.ndarray) and deltas.ndim == 1) or not len(deltas):
+        raise InputError(f"deltas: must be a non-empty sequence of step sizes, got {deltas!r}")
     rows = []
     for delta in deltas:
         h = policy.radius(delta)  # validates (0, delta_star]

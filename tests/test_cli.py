@@ -211,6 +211,17 @@ def test_exponent_fit_that_cannot_be_scaled_exits_4_without_lapack_output(tmp_pa
     assert "Traceback" not in err and "estimation error" in err
 
 
+def test_an_exponent_run_from_a_huge_start_prints_its_one_line_only(tmp_path, capfd):
+    # |x0|^(2p) overflows at t = 0, and every path leaves the overflow guard at its first step
+    argv = ["exponent", "--x0", "1e200", "--p", "0.9", "--steps", "20", "--paths", "4", "--refinement", "1",
+            "--out", str(tmp_path / "huge")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 4
+    out, err = capfd.readouterr()
+    assert out == "" and err.startswith("estimation error: all paths diverged") and err.count("\n") == 1
+
+
 def test_main_reads_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model=example41\ndelta=5e-4\nsteps=20\npaths=2\nseed=4\nrefinement=1\n")
@@ -381,22 +392,26 @@ def test_bytes_the_cli_cannot_read_or_write_are_one_configuration_error(tmp_path
 _VALID_CONFIG = b"# mtemsim 0.1.0\nmodel=example41\nscheme=mtem\np=0.5\ndelta=0.0005\nseed=7\nx0=2.0\nwindow=0.4:1.0\n"
 
 
+def _mutated(valid: bytes, rng: random.Random, least: int = 0) -> bytes:
+    """``valid`` with 1 to 4 bytes inserted, deleted or replaced by any byte from ``least`` up."""
+    data = bytearray(valid)
+    for _ in range(rng.randint(1, 4)):
+        edit, byte = rng.randrange(3), rng.randrange(least, 256)
+        edit = edit if data else 0  # nothing left to delete or replace
+        at = rng.randrange(len(data) + (edit == 0))
+        if edit == 0:
+            data.insert(at, byte)
+        elif edit == 1:
+            del data[at]
+        else:
+            data[at] = byte
+    return bytes(data)
+
+
 def _mutated_configs(count: int, seed: int) -> list[bytes]:
     """``count`` copies of the valid config, each with 1 to 4 bytes inserted, deleted or replaced by any byte."""
-    rng, configs = random.Random(seed), []
-    for _ in range(count):
-        data = bytearray(_VALID_CONFIG)
-        for _ in range(rng.randint(1, 4)):
-            edit, byte = rng.randrange(3), rng.randrange(256)
-            at = rng.randrange(len(data) + (edit == 0))
-            if edit == 0:
-                data.insert(at, byte)
-            elif edit == 1:
-                del data[at]
-            else:
-                data[at] = byte
-        configs.append(bytes(data))
-    return configs
+    rng = random.Random(seed)
+    return [_mutated(_VALID_CONFIG, rng) for _ in range(count)]
 
 
 _MUTATED = _mutated_configs(300, seed=8)
@@ -413,6 +428,48 @@ def test_a_config_with_any_bytes_exits_with_a_documented_code_and_one_line(tmp_p
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4, 5)
+    assert out == "" and err.count("\n") <= 1 and "Traceback" not in err
+
+
+# a valid value of every flag; mu and sigma are read by the linear model only
+_VALID_FLAGS = {"model": "example41", "mu": "-1", "sigma": "0.5", "scheme": "mtem", "p": "0.5", "delta": "0.0005",
+                "steps": "20", "paths": "2", "seed": "7", "refinement": "1", "x0": "2.0", "window": "0.4:1.0",
+                "out": "r"}
+
+
+def _mutated_flags(count: int, seed: int) -> list[tuple[str, str]]:
+    """``count`` (key, value) pairs, a valid value of each flag in turn with 1 to 4 byte edits, as argv decodes it.
+
+    No edit writes a NUL, which argv cannot carry; any other byte that is not UTF-8 becomes a lone surrogate.
+    """
+    rng, keys = random.Random(seed), list(_VALID_FLAGS)
+    return [(key, os.fsdecode(_mutated(_VALID_FLAGS[key].encode(), rng, least=1)))
+            for key in (keys[i % len(keys)] for i in range(count))]
+
+
+_MUTATED_FLAGS = _mutated_flags(300, seed=9)
+
+
+@pytest.mark.parametrize("index", range(len(_MUTATED_FLAGS)))
+def test_a_flag_with_any_bytes_exits_with_a_documented_code_and_one_line(tmp_path, monkeypatch, capsys, index):
+    key, value = _MUTATED_FLAGS[index]
+    assert list(_VALID_FLAGS) == list(cli._KEYS)
+    monkeypatch.chdir(tmp_path)  # out values become file names
+
+    def open_inside(path, *args, **kwargs):  # an edited out may name any directory: write under tmp_path only
+        if not Path(path).resolve().is_relative_to(tmp_path.resolve()):
+            raise PermissionError(f"outside the test directory: {path!r}")
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", open_inside, raising=False)
+    argv = [*_MUTATION_RUNS[index % 3], "--paths", "2", "--refinement", "1"]
+    if key in ("mu", "sigma"):
+        argv += ["--model", "linear", "--mu", "-1", "--sigma", "0.5"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, f"--{key}={value}"])
     out, err = capsys.readouterr()
     assert code in (0, 2, 3, 4, 5)
     assert out == "" and err.count("\n") <= 1 and "Traceback" not in err

@@ -338,7 +338,8 @@ VALUE_TAKERS = {
     "run_paths-record_paths": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, 5, 3, 1, record_paths=v), (0,)),
     "run_paths-master_seed": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, 5, 3, v), _VALID_SEEDS),
     "run_paths-moment_p": (lambda model, v: run_paths(model, 1.5, 2.0, 1e-3, 5, 3, 1, moment_p=v),
-                           (0, -1, 1e308, 1e-323, 2**63, None)),  # any finite order: |x|^p may overflow; None: no sums
+                           (1e-323, None)),  # an order in (0, 1); None: no sums
+    "run_paths-workers": (lambda model, v: run_paths(model, 1.5, 1.0, 1e-3, 5, 3, 1, workers=v), ()),
     "run_paths-delta": (lambda model, v: run_paths(model, 1.5, 1.0, v, 5, 3, 1), (1e308, 1e-323, 2**63)),
     "run_stability_mc-paths": (lambda model, v: m.run_stability_mc(model, 1.5, "mtem", 0.5, 1.0, 1e-3, 5, v, 1),
                                ()),  # at least 2
@@ -378,24 +379,21 @@ VALUE_TAKERS = {
     "step_mtem-db": (lambda model, v: m.step_mtem(model, 1.5, 1.0, 1e-3, v), (0, -1, 1e-323, 2**63)),  # 1e308: inf
     "fit_exponent-window_lo": (lambda model, v: m.fit_exponent(_estimate(), (v, 1.0)), (0, 1e-323)),
     "fit_exponent-window_hi": (lambda model, v: m.fit_exponent(_estimate(), (0.0, v)), ()),  # the horizon is 1
+    "fit_exponent-window": (lambda model, v: m.fit_exponent(_estimate(), v), ()),  # not a pair
     "estimate_as_exponent-delta": (lambda model, v: m.estimate_as_exponent(model, 1.5, 1.0, v, 5, 3, 1),
                                    ()),  # 5 delta < 1, or every path diverges
     "verify_step_condition-delta": (lambda model, v: m.verify_step_condition(
         m.default_policy(model), model.lipschitz_bound, [v]), (1e-323,)),  # delta_star is 4^-5
+    "verify_step_condition-deltas": (lambda model, v: m.verify_step_condition(
+        m.default_policy(model), model.lipschitz_bound, v), ()),  # not a sequence; "2" is one of text
     "stability_functional-x": (lambda model, v: m.stability_functional(model, 0.5, v), (-1, 2**63, True)),
     "evaluate_drift-x": (lambda model, v: m.evaluate_drift(model, v), (0, -1, 1e-323, 2**63, True)),
     "evaluate_diffusion-x": (lambda model, v: m.evaluate_diffusion(model, v), (0, -1, 1e-323, 2**63, True)),
 }
 
 
-# A finite order whose |x0|^p overflows: the moment sums warn, and the merge's compensation turns NaN; unmended.
-_OVERFLOWING_MOMENTS = {("run_paths-moment_p", 1e308), ("run_paths-moment_p", 2**63)}
-
-
 def _value_cases(refused: bool):
-    overflow = pytest.mark.xfail(raises=RuntimeWarning, strict=True, reason="|x0|^p overflows in the moment sums")
-    return [pytest.param(call, value, id=f"{call}-{value!r}",
-                         marks=[overflow] if (call, value) in _OVERFLOWING_MOMENTS else [])
+    return [pytest.param(call, value, id=f"{call}-{value!r}")
             for call, (_, valid) in VALUE_TAKERS.items() for value in HOSTILE_VALUES if (value not in valid) == refused]
 
 
@@ -415,14 +413,45 @@ def test_the_hostile_values_an_entry_point_accepts_return_quietly(ex41, call, va
 
 
 @pytest.mark.parametrize("keywords", [{"steps": math.nan}, {"master_seed": -1}, {"record_paths": -1},
-                                      {"moment_p": math.inf}, {"delta": math.inf}], ids=repr)
+                                      {"moment_p": math.inf}, {"moment_p": -0.5}, {"paths": 1, "moment_p": 0.5},
+                                      {"delta": math.inf}, {"workers": "2"}], ids=repr)
 def test_a_refused_count_seed_or_moment_order_starts_no_drawer(keywords, monkeypatch):
     monkeypatch.setattr(engine, "CHUNK_PATHS", 2)  # 4 paths in 2 segments: 2 workers would fork 2 drawers
     with pytest.raises(InputError):
-        run_paths(m.example41(), 1.5, 2.0, **{"delta": 5e-4, "steps": 20, "paths": 4, "master_seed": 1, **keywords},
-                  workers=2)
+        run_paths(m.example41(), 1.5, 2.0, **{"delta": 5e-4, "steps": 20, "paths": 4, "master_seed": 1, "workers": 2,
+                                              **keywords})
     with pytest.raises(ChildProcessError):  # no child left, running or unreaped
         os.waitpid(-1, os.WNOHANG)
+
+
+# A state, a window or a grid of step sizes whose container is malformed, and the argument each error names.
+CONTAINER_TAKERS = {
+    "evaluate_drift-ragged": (lambda model: m.evaluate_drift(model, [[1], [2, 3]]), "state"),
+    "run_paths-ragged_x0": (lambda model: run_paths(model, 1.5, [[1.0], [2.0, 3.0]], 1e-3, 5, 3, 1), "x0"),
+    "stability_functional-ragged": (lambda model: m.stability_functional(model, 0.5, [1, [2]]), "state"),
+    "fit_exponent-one_bound": (lambda model: m.fit_exponent(_estimate(), (0.0,)), "window"),
+    "fit_exponent-three_bounds": (lambda model: m.fit_exponent(_estimate(), (0.0, 0.5, 1.0)), "window"),
+    "verify_step_condition-generator": (lambda model: m.verify_step_condition(
+        m.default_policy(model), model.lipschitz_bound, (d for d in [1e-4])), "deltas"),
+    "verify_step_condition-empty": (lambda model: m.verify_step_condition(
+        m.default_policy(model), model.lipschitz_bound, []), "deltas"),
+}
+
+
+@pytest.mark.parametrize("call", CONTAINER_TAKERS)
+def test_a_malformed_container_is_an_input_error_that_names_it(ex41, call):
+    take, name = CONTAINER_TAKERS[call]
+    with warnings.catch_warnings(), pytest.raises(InputError, match=f"^{name}: "):
+        warnings.simplefilter("error")
+        take(ex41)
+
+
+def test_a_moment_run_whose_start_overflows_the_squared_moment_returns_quietly():
+    # |x0|^(2p) = 1e360 is not a float: the moment at t = 0 is |x0|^p, its standard error nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = m.estimate_moment_curve(m.example41(), 1.5, "mtem", 0.9, 1e200, 1e-3, 5, 3, 1)
+    assert est.means[0] == pytest.approx(1e180, rel=1e-12) and math.isnan(est.stderrs[0])
 
 
 _STEP_TAKERS = [call for call in VALUE_TAKERS if call.endswith("-delta")]
