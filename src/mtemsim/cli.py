@@ -296,6 +296,7 @@ def run_command(subcommand: str, config: RunConfig, workers: int = 1) -> int:
     policy = default_policy(model)
     try:  # compare and verify step mtem whatever the configured scheme, so its policy bounds delta there too
         radii = tuple(scheme_radius(policy, name, config.delta) for name in schemes or (config.scheme,))
+        _check_count("workers", workers)
     except InputError as exc:
         raise ConfigError(str(exc)) from None
     status = runner(config, model, policy, radii, workers)
@@ -332,7 +333,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"config: {exc}") from None
         flags = {key: getattr(args, key) for key in _KEYS}
         config = parse_config(text=text, flags=flags)
-        return run_command(args.command, config, workers=max(1, args.workers))
+        return run_command(args.command, config, workers=args.workers)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -179,7 +179,7 @@ class Lanes:
         out.alive[t0:t1] += alive
 
 
-def step_paths(lanes: Lanes, coarse: np.ndarray) -> bool:
+def step_paths(lanes: Lanes, coarse: np.ndarray) -> None:
     """Step every lane through the (count, b) coarse increments of its path, one column per step.
 
     This is the package's one stepping loop, run by a single thread; its
@@ -190,10 +190,9 @@ def step_paths(lanes: Lanes, coarse: np.ndarray) -> bool:
     and read +0.0 after it.  The bookkeeping of a freeze runs on the step a
     lane freezes only: on every other step the frozen lanes are zeroed by
     index and the guard is tested against the largest norm.  Frozen lanes
-    are stepped on from zero until every lane is frozen.  Then the remaining
-    moment sums are filled from the last step, which each further step would
-    repeat, and False is returned: there is nothing left to step.  Terminal
-    norms are written once the lanes stop.
+    are stepped on from zero to the horizon, every lane of a block through
+    all its columns, and the block's moment sums are merged once.  Terminal
+    norms are written at the horizon.
     """
     model, radius, delta, guard = lanes.model, lanes.radius, lanes.delta, lanes.overflow_guard
     x, norms, alive, dead, live = lanes.x, lanes.norms, lanes.alive, lanes.dead, lanes.live
@@ -234,22 +233,13 @@ def step_paths(lanes: Lanes, coarse: np.ndarray) -> bool:
             if moment_p is not None:
                 _moment_sums(norms, moment_p, segment, sums[j], sqsums[j])
                 alive_counts[j] = live
-            if not live:
-                break
 
-    taken, frozen = j + 1, not live
-    lanes.x, lanes.norms, lanes.dead, lanes.live, lanes.k = x, norms, dead, live, k0 + taken
-    steps = lanes.out.steps
+    lanes.x, lanes.norms, lanes.dead, lanes.live, lanes.k = x, norms, dead, live, k0 + b
     if moment_p is not None:
-        lanes.merge(k0 + 1, sums[:taken], sqsums[:taken], alive_counts[:taken])
-        rest = steps - lanes.k
-        if frozen and rest > 0:  # every lane is frozen at zero: each remaining step repeats this one
-            lanes.merge(lanes.k + 1, np.broadcast_to(sums[j], (rest, nseg)),
-                        np.broadcast_to(sqsums[j], (rest, nseg)), 0)
-    if frozen or lanes.k == steps:
+        lanes.merge(k0 + 1, sums, sqsums, alive_counts)
+    if lanes.k == lanes.out.steps:
         terminal = lanes.out.terminal_norm.reshape(copies, -1)[:, lanes.start:lanes.start + count]
         terminal[:] = np.where(alive, norms, np.nan).reshape(copies, count)
-    return not frozen
 
 
 def simulate_path(
@@ -311,12 +301,15 @@ def run_paths(
     result per radius, byte for byte equal to a run under that radius alone.
     Moment sums need a single radius.
 
-    With ``os.fork`` and ``jobs = min(workers, segments per window) >= 2`` the
-    run forks ``jobs`` drawers, at most ``WINDOW_SEGMENTS`` (8); drawer
-    ``rank`` owns segments ``rank``, ``rank + jobs``, ... and keeps their
-    generators.  Its ``jobs`` threads, in copies of the caller's context, only
-    wait on their drawers, then at a barrier whose action sends out block k + 1
-    and steps block k; otherwise the caller draws each block, then steps it.
+    The run is a fixed schedule of blocks, window after window, and every
+    block steps all the lanes of its window, frozen ones included: a run's
+    cost depends on its size only.  With ``os.fork`` and ``jobs =
+    min(workers, segments per window) >= 2`` the run forks ``jobs`` drawers,
+    at most ``WINDOW_SEGMENTS`` (8); drawer ``rank`` owns segments ``rank``,
+    ``rank + jobs``, ... and keeps their generators.  Its ``jobs`` threads, in
+    copies of the caller's context, only wait on their drawers, then at a
+    barrier whose action sends out block n + 1 and steps block n; otherwise
+    the caller draws each block, then steps it.
     A drawer's error is re-raised as its own type, or as a RuntimeError with
     its traceback, and a drawer that dies without replying raises DrawerError.
     Every drawer is reaped before the call returns or raises.  A bad count,
@@ -350,32 +343,29 @@ def run_paths(
     scale = math.sqrt(delta / refinement)
     scratch = np.empty(group * block * refinement), np.empty(group * block)  # one thread per process draws
 
-    def window(first: int) -> Lanes:
-        return Lanes(model, radius, x0_row, delta, out, first, min(width, paths - first), moment_p=moment_p,
-                     compensation=compensation)
-
-    # only step_block moves the cursor (window start, first step) and the block in flight
-    at, lanes, inflight = (0, 0), window(0), None
+    per_window = -(-steps // block)  # blocks run window after window
+    blocks, n, lanes = -(-paths // width) * per_window, 0, None  # only step_block moves n, the block to step next
     pids, commands, replies = [], [], []  # the drawers and this process's ends of their pipes
 
-    def dispatch(target: tuple[int, int], half: int) -> None:
-        nonlocal inflight
-        inflight = target, half
+    def block_of(n: int) -> tuple[int, int, int]:
+        """The window start, first step and buffer half of block ``n``."""
+        return n // per_window * width, n % per_window * block, n % halves.shape[0]
+
+    def dispatch(n: int) -> None:
         for pipe in commands:
-            pipe.write(struct.pack("3q", *target, half))
+            pipe.write(struct.pack("3q", *block_of(n)))
 
     def step_block() -> None:
-        """Step the drawn block through every lane of the window, then move the cursor on."""
-        nonlocal at, lanes
-        (drawn, half), (start, k0) = inflight if pids else (at, 0), at
-        if drawn != at:  # every lane froze before the block drawn ahead: draw the one wanted
-            return dispatch(at, half)
-        ahead = (start, k0 + block) if k0 + block < steps else (start + width, 0)
-        if pids and ahead[0] < paths:
-            dispatch(ahead, 1 - half)  # the drawers fill the other half while this one is stepped
-        at = ahead if step_paths(lanes, halves[half, : steps - k0, : lanes.count].T) else (start + width, 0)
-        if at[1] == 0 and at[0] < paths:
-            lanes = window(at[0])
+        """Step block n, drawn, through every lane of its window; the drawers fill block n + 1 meanwhile."""
+        nonlocal n, lanes
+        start, k0, half = block_of(n)
+        if pids and n + 1 < blocks:
+            dispatch(n + 1)
+        if k0 == 0:  # a window's first block: its lanes start from x0
+            lanes = Lanes(model, radius, x0_row, delta, out, start, min(width, paths - start), moment_p=moment_p,
+                          compensation=compensation)
+        step_paths(lanes, halves[half, : steps - k0, : lanes.count].T)
+        n += 1
 
     barrier = threading.Barrier(jobs, action=step_block)
 
@@ -406,22 +396,22 @@ def run_paths(
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's, which ends its drawers
         for pipe in commands + replies:  # a sibling's end left open here would hide its end of file
             pipe.close()
-        requests, answers = open(command_fd, "rb"), open(reply_fd, "wb")
-        while len(command := requests.read(24)) == 24:
-            try:
-                draw(rank, *struct.unpack("3q", command))
-                answer = pickle.dumps(None)
-            except BaseException as exc:  # noqa: BLE001 - handed to the parent
+        with open(command_fd, "rb") as requests, open(reply_fd, "wb") as answers:
+            while len(command := requests.read(24)) == 24:
                 try:
-                    pickle.loads(answer := pickle.dumps(exc))
-                except Exception:  # noqa: BLE001 - it does not round-trip: send its traceback
-                    answer = pickle.dumps(RuntimeError("".join(traceback.format_exception(exc))))
-            answers.write(answer)
-            answers.flush()
+                    draw(rank, *struct.unpack("3q", command))
+                    answer = pickle.dumps(None)
+                except BaseException as exc:  # noqa: BLE001 - handed to the parent
+                    try:
+                        pickle.loads(answer := pickle.dumps(exc))
+                    except Exception:  # noqa: BLE001 - it does not round-trip: send its traceback
+                        answer = pickle.dumps(RuntimeError("".join(traceback.format_exception(exc))))
+                answers.write(answer)
+                answers.flush()
 
     def job(rank: int) -> None:
         try:
-            while at[0] < paths:
+            while n < blocks:
                 if not replies[rank].peek(1):  # blocks, GIL released, until the share is drawn or the drawer died
                     how = "exit status unknown"
                     with contextlib.suppress(ChildProcessError):  # reaped already, as where SIGCHLD is ignored
@@ -437,8 +427,8 @@ def run_paths(
 
     try:
         if jobs == 1:  # this thread draws each block, then steps it
-            while at[0] < paths:
-                draw(0, *at, 0)
+            while n < blocks:
+                draw(0, *block_of(n))
                 step_block()
             return out
         for rank in range(jobs):
@@ -455,7 +445,7 @@ def run_paths(
             finally:
                 for fd in (command_fd, reply_fd):
                     os.close(fd)
-        dispatch(at, 0)
+        dispatch(0)
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             # a fresh copy per job: two threads cannot enter one context
             futures = [pool.submit(contextvars.copy_context().run, job, rank) for rank in range(jobs)]

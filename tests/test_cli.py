@@ -354,6 +354,25 @@ def test_python_dash_m_mtemsim_runs_the_cli_cleanly(tmp_path):
     assert (tmp_path / "s_paths.csv").exists()
 
 
+def test_drawers_close_their_pipes(tmp_path):
+    # a drawer's ResourceWarning reaches its own stderr only, which pytest's hooks cannot see
+    env = {**os.environ, "PYTHONPATH": str(Path(m.__file__).resolve().parents[1])}
+    argv = ["simulate", "--workers", "2", "--paths", "1024", "--steps", "20", "--refinement", "1",
+            "--out", str(tmp_path / "s")]
+    done = subprocess.run([sys.executable, "-X", "dev", "-m", "mtemsim", *argv], env=env, capture_output=True,
+                          text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+@pytest.mark.parametrize("command", ["simulate", "exponent", "verify", "compare"])
+def test_a_worker_count_below_one_is_one_configuration_error_before_any_file(tmp_path, capsys, command, workers):
+    assert main([command, "--workers", workers, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: workers: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["compare", "verify"])
 def test_a_step_beyond_the_mtem_bound_is_refused_before_compare_or_verify_writes(tmp_path, capsys, command):
     # both step mtem whatever scheme says, so the mtem policy bounds delta there too

@@ -1,8 +1,8 @@
 """Engine runs in which every path diverges, the engine's drawers and threads, and its layout.
 
-Once every lane of a window is frozen, the engine stops stepping it and fills
-the remaining moment sums from the last step.  The digest below pins the
-arrays of such runs to those of an engine that stepped frozen lanes to the
+Every block of every window is stepped, frozen lanes included, whether or
+not a lane is left alive.  The digest below pins the arrays of runs in which
+every path diverges to those of an engine that stepped frozen lanes to the
 horizon; it is checked only on the numpy version it was captured on.
 
 From two workers on, forked drawer processes draw each block's increments
@@ -116,7 +116,7 @@ def _arrays(r):
 @pytest.mark.skipif(np.__version__ != CAPTURED_ON_NUMPY,
                     reason=f"digest was captured on numpy {CAPTURED_ON_NUMPY}")
 def test_fully_diverged_runs_keep_their_bytes_on_two_workers(monkeypatch):
-    # the stepping thread stops early here, and must release the drawing thread
+    # every lane freezes early here, and the stepping thread still steps each block the drawers fill
     ex41 = m.example41()
     digest = hashlib.sha256()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -598,3 +598,27 @@ def test_the_cli_exits_5_when_a_drawer_dies_in_a_caller_that_ignores_sigchld(tmp
     err = capsys.readouterr().err
     assert (code, err.count("\n")) == (5, 1) and err.startswith("drawer error: drawer 1 (pid ")
     assert err.endswith("exit status unknown\n") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_block_of_every_window_is_stepped_when_every_lane_diverges(workers, monkeypatch):
+    # CHUNK_PATHS 4 and WINDOW_SEGMENTS 2: windows of 8 paths, 3 of them over 20 paths
+    step_paths, calls = engine.step_paths, []
+
+    def counted(lanes, coarse):
+        calls.append(coarse.shape)
+        return step_paths(lanes, coarse)
+
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 4)
+    monkeypatch.setattr(engine, "WINDOW_SEGMENTS", 2)
+    monkeypatch.setattr(engine, "step_paths", counted)
+    runs = []
+    for block in (7, 30):  # 30 steps: 5 blocks, the last one ragged, then the whole horizon as one block
+        monkeypatch.setattr(engine, "BLOCK_STEPS", block)
+        runs.append(run_paths(m.example41(), np.inf, 1000.0, 5e-3, 30, 20, 9, 1, moment_p=0.5, record_paths=20,
+                              workers=workers))
+    blocked, whole = runs
+    assert blocked.diverged_paths == 20 and blocked.first_divergence.max() < 7  # every lane froze in block 1
+    assert len(calls) == 3 * 5 + 3
+    for a, b in zip(_arrays(blocked), _arrays(whole)):
+        assert a.tobytes() == b.tobytes()

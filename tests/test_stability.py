@@ -485,3 +485,15 @@ def test_em_decay_far_below_1e_162_is_measured_not_censored():
     run = m.run_stability_mc(m.linear(-200, 0), None, "em", 0.5, 1.0, 1e-3, 2000, 4, 1, refinement=1)
     assert run.pathwise.censored == 0
     assert run.pathwise.q50 == pytest.approx(math.log(0.8) / 1e-3, rel=1e-12)
+
+
+@pytest.mark.parametrize("halvings", [0, 1, 2])
+def test_example41_decays_at_every_step_the_policy_accepts(ex41, ex41_policy, halvings):
+    # delta* = 4^-5 is the policy's bound; T = 5 (at T = 3 the q95 bound fails for some seeds)
+    delta = ex41_policy.delta_star / 2**halvings
+    run = m.run_stability_mc(ex41, ex41_policy, "mtem", 0.5, 2.0, delta, round(5.0 / delta), 512, 401)
+    moments, pathwise = run.moments, run.pathwise
+    assert moments.diverged_paths == 0 and pathwise.diverged == 0
+    assert pathwise.q95 <= -0.5  # criterion 7: almost sure decay at rate 1 - eps, eps = 0.5
+    # criterion 6 in the form of a bound: E|X_T|^p <= |x0|^p e^(-p (lambda - eps) T), lambda - eps = 0.5
+    assert moments.means[-1] <= 2.0**0.5 * math.exp(-1.25) + 3 * moments.stderrs[-1]
