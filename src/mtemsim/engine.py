@@ -48,8 +48,8 @@ __all__ = ["CHUNK_PATHS", "OVERFLOW_GUARD", "Lanes", "RunResult", "run_paths", "
 # the explicit EM baseline is expected to blow up on superlinear models.
 OVERFLOW_GUARD = 1e10
 
-# Fixed segment width: the unit of the moment reductions and of the work a drawer
-# owns.  Must not depend on the worker count or reductions would change with it.
+# Fixed segment width: the unit the moment sums are reduced over.  Must not
+# depend on the worker count or the reductions would change with it.
 CHUNK_PATHS = 512
 
 # Steps drawn and stepped per block, and segments stepped as one array.  Neither
@@ -303,19 +303,19 @@ def run_paths(
 
     The run is a fixed schedule of blocks, window after window, and every
     block steps all the lanes of its window, frozen ones included: a run's
-    cost depends on its size only.  With ``os.fork`` and ``jobs =
-    min(workers, segments per window) >= 2`` the run forks ``jobs`` drawers,
-    at most ``WINDOW_SEGMENTS`` (8); drawer ``rank`` owns segments ``rank``,
-    ``rank + jobs``, ... and keeps their generators.  Its ``jobs`` threads, in
-    copies of the caller's context, only wait on their drawers, then at a
-    barrier whose action sends out block n + 1 and steps block n; otherwise
-    the caller draws each block, then steps it.
-    A drawer's error is re-raised as its own type, or as a RuntimeError with
-    its traceback, and a drawer that dies without replying raises DrawerError.
-    Every drawer is reaped before the call returns or raises.  A bad count,
-    ``workers`` among them, seed, step size or radius, a moment order outside
-    (0, 1), or moment sums over fewer than 2 paths raise InputError, and a
-    size numpy cannot index MemoryError, before anything is allocated.
+    cost depends on its size only.  With ``os.fork`` and ``jobs = min(workers,
+    segments per window) >= 2`` the run forks ``jobs`` drawers, at most
+    ``WINDOW_SEGMENTS`` (8); drawer ``rank`` draws the ``rank``-th of ``jobs``
+    contiguous runs of each window's paths, equal to within a path, and keeps
+    their streams.  Its ``jobs`` threads, in copies of the caller's context,
+    only wait on their drawers, then at a barrier whose action sends out block
+    n + 1 and steps block n; otherwise the caller draws each block, then steps
+    it.  A drawer's error is re-raised as its own type, or as a RuntimeError
+    with its traceback, and a drawer that dies without replying raises
+    DrawerError.  Every drawer is reaped before the call returns or raises.  A
+    bad count, ``workers`` among them, seed, step size or radius, a moment
+    order outside (0, 1), or moment sums over fewer than 2 paths raise
+    InputError, and a size numpy cannot index MemoryError, before allocating.
     """
     moment_p = None if moment_p is None else _check_moment_order("moment_p", moment_p)
     paths, steps = _check_count("paths", paths, 1 if moment_p is None else 2), _check_count("steps", steps)
@@ -331,7 +331,7 @@ def run_paths(
     block = min(steps, BLOCK_STEPS)
     jobs = min(workers, -(-min(paths, width) // chunk)) if hasattr(os, "fork") else 1
     shape = (1 + (jobs > 1), block, min(paths, width))  # halves; a step reads one row
-    group = max(1, min(chunk, GROUP_NORMALS // (block * refinement)))
+    group = max(1, GROUP_NORMALS // (block * refinement))
     recorded = copies * min(record_paths, paths)
     _check_size(copies * paths, steps + 1 if moment_p is not None else 0, recorded * (steps + 1) * model.dimension,
                 math.prod(shape), group * block * refinement)
@@ -339,7 +339,7 @@ def run_paths(
                           record_paths=recorded)
     compensation = (np.zeros(steps + 1), np.zeros(steps + 1)) if moment_p is not None else None
     halves = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)  # shared with drawers
-    generators = [None] * shape[2]  # one per lane of the current window
+    normals = [None] * shape[2]  # each lane's stream, as its bound standard_normal, for the current window
     scale = math.sqrt(delta / refinement)
     scratch = np.empty(group * block * refinement), np.empty(group * block)  # one thread per process draws
 
@@ -370,26 +370,25 @@ def run_paths(
     barrier = threading.Barrier(jobs, action=step_block)
 
     def draw(rank: int, start: int, k0: int, half: int) -> None:
-        """Draw the segments ``rank`` owns of the block from step ``k0`` of window ``start`` into ``half``.
+        """Draw paths ``count * rank // jobs`` to ``count * (rank + 1) // jobs`` of window ``start`` from step ``k0``.
 
-        ``group`` paths at a time: each path's fine normals come from its own
-        generator, then the group is scaled, summed row by row (a row sum even
-        at refinement 1, where it maps -0.0 to 0.0) and transposed into place.
+        Their streams open at the window's first block.  ``group`` paths at a time, each path's fine normals come
+        from its own stream; the group is scaled, summed row by row (a row sum even at refinement 1, where it maps
+        -0.0 to 0.0) and transposed into ``half``.
         """
         (fine_buf, sum_buf), count, b = scratch, min(width, paths - start), min(block, steps - k0)
-        for first in range(rank * chunk, count, jobs * chunk):
-            end = min(first + chunk, count)
-            for lo in range(first, end, group):
-                n = min(group, end - lo)
-                fine = fine_buf[: n * b * refinement].reshape(n, b, refinement)
-                for i in range(lo, lo + n):
-                    if k0 == 0:
-                        generators[i] = path_generator(master_seed, start + i)
-                    generators[i].standard_normal(out=fine[i - lo])
-                fine *= scale
-                summed = sum_buf[: n * b].reshape(n, b)
-                np.add.reduce(fine, axis=2, out=summed)
-                halves[half, :b, lo:lo + n] = summed.T
+        first, end = count * rank // jobs, count * (rank + 1) // jobs
+        if k0 == 0:
+            normals[first:end] = [path_generator(master_seed, start + i).standard_normal for i in range(first, end)]
+        for lo in range(first, end, group):
+            n = min(group, end - lo)
+            fine = fine_buf[: n * b * refinement].reshape(n, b, refinement)
+            for normal, row in zip(normals[lo:lo + n], fine):
+                normal(out=row)
+            fine *= scale
+            summed = sum_buf[: n * b].reshape(n, b)
+            np.add.reduce(fine, axis=2, out=summed)
+            halves[half, :b, lo:lo + n] = summed.T
 
     def serve(rank: int, command_fd: int, reply_fd: int) -> None:
         """A drawer: draw each block it is sent and answer a pickled None or its error, until end of file."""

@@ -547,7 +547,7 @@ def _kill_the_drawer_of_path_700(monkeypatch):
 
 
 def test_a_drawer_that_dies_without_replying_is_a_drawer_error(monkeypatch):
-    # path 700 of 1,024 lies in the second segment of 512, which drawer 1 owns
+    # path 700 of 1,024 lies in paths 512 to 1,023, the second half, which drawer 1 of 2 draws
     baseline = threading.active_count()
     _kill_the_drawer_of_path_700(monkeypatch)
     error = _error_within(20, lambda: run_paths(m.example41(), 1.5, 2.0, 1e-2, 20, 1024, 5, 1, workers=2))
