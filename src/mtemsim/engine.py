@@ -4,12 +4,12 @@ The paths of a run are stepped as the lanes of one array, a window of up to
 ``WINDOW_SEGMENTS`` segments of ``CHUNK_PATHS`` paths at a time, and time
 advances in blocks of ``BLOCK_STEPS`` steps.  A path may have a lane per
 truncation radius, MTEM beside plain EM say, all reading its increments,
-drawn once.  With two workers or more, forked child processes draw block
-k + 1 into one half of a shared buffer while this process steps every lane
-through block k in the other; otherwise the caller draws, then steps, each
-block.  No thread draws during a step: a step is many numpy calls that each
-give up the GIL, and a drawing thread that takes it in between slows the step
-more than its draws save.  Memory is bounded by the window times the block.
+drawn once.  With two workers or more, the run's own drawer processes draw
+block k + 1 into one half of a shared buffer while this process steps every
+lane through block k in the other; without them the caller draws and steps
+each block.  No thread draws during a step: a step is many numpy calls that
+each give up the GIL, and a drawing thread that takes it in between slows
+the step more than its draws save.  Memory is bounded by window and block.
 
 Moment sums are reduced per segment at every step with a fixed operation
 order, and merged segment by segment in path order with compensated
@@ -264,12 +264,84 @@ def simulate_path(
     radius = scheme_radius(policy_or_radius, scheme, delta)
     run = RunResult.empty(1, steps, delta, model.dimension, record_paths=1)
     step_paths(Lanes(model, radius, as_state(model, x0, "x0"), delta, run), path.coarse()[None, :steps])
-    states = run.states[0]
     first = int(run.first_divergence[0])
-    diverged = first >= 0
-    if diverged:
-        states = states[: first + 1]
-    return TrajectoryRecord(scheme, states[0].copy(), delta, states, diverged, first if diverged else None)
+    states = run.states[0] if first < 0 else run.states[0, : first + 1]
+    return TrajectoryRecord(scheme, states[0].copy(), delta, states, first >= 0, first if first >= 0 else None)
+
+
+class _Drawers:
+    """The drawer processes of one run, each running ``draw(rank, start, k0, half)`` on the blocks it is sent.
+
+    A drawer keeps no descriptor open but 0-2 and its own two pipe ends: it hides no other drawer's end of file.
+    Closing ends them: each reads end of file and exits, and one still drawing a second later is killed.
+    """
+
+    pids = commands = replies = ()  # the drawers and this process's ends of their pipes: none until started
+
+    def start(self, jobs: int, draw) -> int:
+        """Fork ``jobs`` drawers and give their count, or 1 for none: one job, no ``os.fork``, or a refused fork."""
+        self.pids, self.commands, self.replies = [], [], []
+        try:
+            for rank in range(jobs if jobs > 1 and hasattr(os, "fork") else 0):
+                command_r, command_w = os.pipe()
+                self.commands.append(open(command_w, "wb", buffering=0))
+                with open(command_r, "rb") as requests:  # the drawer's ends: this process closes them once forked
+                    reply_r, reply_w = os.pipe()
+                    self.replies.append(open(reply_r, "rb"))
+                    with open(reply_w, "wb") as answers:
+                        if (pid := os.fork()) == 0:
+                            try:
+                                self._serve(draw, rank, requests, answers)
+                            finally:
+                                os._exit(0)  # no atexit handler, no second flush of inherited buffers
+                        self.pids.append(pid)
+        except OSError:  # a refused pipe or fork, out of processes or descriptors say: the caller draws instead
+            self.close()
+        return len(self.pids) or 1
+
+    def _serve(self, draw, rank: int, requests, answers) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's, which ends its drawers
+        low, high = sorted((requests.fileno(), answers.fileno()))
+        for first, end in ((3, low), (low + 1, high), (high + 1, os.sysconf("SC_OPEN_MAX"))):
+            os.closerange(first, end)
+        while len(command := requests.read(24)) == 24:
+            try:
+                draw(rank, *struct.unpack("3q", command))
+                answer = pickle.dumps(None)
+            except BaseException as exc:  # noqa: BLE001 - handed to the parent
+                try:
+                    pickle.loads(answer := pickle.dumps(exc))
+                except Exception:  # noqa: BLE001 - it does not round-trip: send its traceback
+                    answer = pickle.dumps(RuntimeError("".join(traceback.format_exception(exc))))
+            answers.write(answer)
+            answers.flush()
+
+    def send(self, start: int, k0: int, half: int) -> None:
+        for pipe in self.commands:
+            pipe.write(struct.pack("3q", start, k0, half))
+
+    def collect(self, rank: int) -> None:
+        """Wait for drawer ``rank``'s reply; re-raise its error, or raise DrawerError if it died without one."""
+        if not self.replies[rank].peek(1):  # blocks, GIL released, until the share is drawn or the drawer died
+            how, pid = "exit status unknown", self.pids[rank]
+            with contextlib.suppress(ChildProcessError):  # reaped already, as where SIGCHLD is ignored
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # -n: killed by signal n
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise DrawerError(f"drawer {rank} (pid {pid}) ended without replying, {how}")
+        if error := pickle.load(self.replies[rank]):
+            raise error
+
+    def close(self) -> None:
+        for pipe in self.commands + self.replies:
+            pipe.close()
+        deadline = time.monotonic() + 1.0
+        for pid in self.pids:
+            with contextlib.suppress(ChildProcessError):  # reaped already, as where SIGCHLD is ignored
+                while not os.waitpid(pid, os.WNOHANG)[0]:
+                    if time.monotonic() > deadline:
+                        os.kill(pid, signal.SIGKILL)
+                    time.sleep(1e-3)
+        self.pids = self.commands = self.replies = ()
 
 
 def run_paths(
@@ -303,15 +375,14 @@ def run_paths(
 
     The run is a fixed schedule of blocks, window after window, and every
     block steps all the lanes of its window, frozen ones included: a run's
-    cost depends on its size only.  With ``os.fork`` and ``jobs = min(workers,
-    segments per window) >= 2`` the run forks ``jobs`` drawers, at most
-    ``WINDOW_SEGMENTS`` (8); drawer ``rank`` draws the ``rank``-th of ``jobs``
-    contiguous runs of each window's paths, equal to within a path, and keeps
-    their streams.  Its ``jobs`` threads, in copies of the caller's context,
-    only wait on their drawers, then at a barrier whose action sends out block
-    n + 1 and steps block n; otherwise the caller draws each block, then steps
-    it.  A drawer's error is re-raised as its own type, or as a RuntimeError
-    with its traceback, and a drawer that dies without replying raises
+    cost depends on its size only.  ``jobs = min(workers, segments per
+    window)`` drawer processes each draw a contiguous share of each window's
+    paths, equal to within a path, while ``jobs`` threads in copies of the
+    caller's context wait on them, then at a barrier whose action sends out
+    block n + 1 and steps block n.  With one job, without ``os.fork`` or where
+    a fork is refused, the caller draws each block, then steps it, to the same
+    bytes.  A drawer's error is re-raised as its own type, or as a
+    RuntimeError with its traceback; one that dies without replying raises
     DrawerError.  Every drawer is reaped before the call returns or raises.  A
     bad count, ``workers`` among them, seed, step size or radius, a moment
     order outside (0, 1), or moment sums over fewer than 2 paths raise
@@ -327,9 +398,8 @@ def run_paths(
         raise InputError("give a radius, and a single one for moment sums")
     radius = np.array([resolve_radius(r) for r in radii])  # each one positive, +inf for none; no nested one
     x0_row, chunk = as_state(model, x0, "x0"), CHUNK_PATHS
-    width = WINDOW_SEGMENTS * chunk
-    block = min(steps, BLOCK_STEPS)
-    jobs = min(workers, -(-min(paths, width) // chunk)) if hasattr(os, "fork") else 1
+    width, block = WINDOW_SEGMENTS * chunk, min(steps, BLOCK_STEPS)
+    jobs = min(workers, -(-min(paths, width) // chunk))
     shape = (1 + (jobs > 1), block, min(paths, width))  # halves; a step reads one row
     group = max(1, GROUP_NORMALS // (block * refinement))
     recorded = copies * min(record_paths, paths)
@@ -345,29 +415,22 @@ def run_paths(
 
     per_window = -(-steps // block)  # blocks run window after window
     blocks, n, lanes = -(-paths // width) * per_window, 0, None  # only step_block moves n, the block to step next
-    pids, commands, replies = [], [], []  # the drawers and this process's ends of their pipes
 
     def block_of(n: int) -> tuple[int, int, int]:
         """The window start, first step and buffer half of block ``n``."""
         return n // per_window * width, n % per_window * block, n % halves.shape[0]
 
-    def dispatch(n: int) -> None:
-        for pipe in commands:
-            pipe.write(struct.pack("3q", *block_of(n)))
-
     def step_block() -> None:
         """Step block n, drawn, through every lane of its window; the drawers fill block n + 1 meanwhile."""
         nonlocal n, lanes
         start, k0, half = block_of(n)
-        if pids and n + 1 < blocks:
-            dispatch(n + 1)
+        if n + 1 < blocks:
+            drawers.send(*block_of(n + 1))
         if k0 == 0:  # a window's first block: its lanes start from x0
             lanes = Lanes(model, radius, x0_row, delta, out, start, min(width, paths - start), moment_p=moment_p,
                           compensation=compensation)
         step_paths(lanes, halves[half, : steps - k0, : lanes.count].T)
         n += 1
-
-    barrier = threading.Barrier(jobs, action=step_block)
 
     def draw(rank: int, start: int, k0: int, half: int) -> None:
         """Draw paths ``count * rank // jobs`` to ``count * (rank + 1) // jobs`` of window ``start`` from step ``k0``.
@@ -390,80 +453,30 @@ def run_paths(
             np.add.reduce(fine, axis=2, out=summed)
             halves[half, :b, lo:lo + n] = summed.T
 
-    def serve(rank: int, command_fd: int, reply_fd: int) -> None:
-        """A drawer: draw each block it is sent and answer a pickled None or its error, until end of file."""
-        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's, which ends its drawers
-        for pipe in commands + replies:  # a sibling's end left open here would hide its end of file
-            pipe.close()
-        with open(command_fd, "rb") as requests, open(reply_fd, "wb") as answers:
-            while len(command := requests.read(24)) == 24:
-                try:
-                    draw(rank, *struct.unpack("3q", command))
-                    answer = pickle.dumps(None)
-                except BaseException as exc:  # noqa: BLE001 - handed to the parent
-                    try:
-                        pickle.loads(answer := pickle.dumps(exc))
-                    except Exception:  # noqa: BLE001 - it does not round-trip: send its traceback
-                        answer = pickle.dumps(RuntimeError("".join(traceback.format_exception(exc))))
-                answers.write(answer)
-                answers.flush()
-
     def job(rank: int) -> None:
         try:
             while n < blocks:
-                if not replies[rank].peek(1):  # blocks, GIL released, until the share is drawn or the drawer died
-                    how = "exit status unknown"
-                    with contextlib.suppress(ChildProcessError):  # reaped already, as where SIGCHLD is ignored
-                        code = os.waitstatus_to_exitcode(os.waitpid(pids[rank], 0)[1])  # -n: killed by signal n
-                        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                    raise DrawerError(f"drawer {rank} (pid {pids[rank]}) ended without replying, {how}")
-                if error := pickle.load(replies[rank]):
-                    raise error
+                drawers.collect(rank)
                 barrier.wait()  # the last thread to arrive steps the block
         except BaseException:
             barrier.abort()  # release the other threads
             raise
 
-    try:
-        if jobs == 1:  # this thread draws each block, then steps it
+    with contextlib.closing(_Drawers()) as drawers:
+        if (jobs := drawers.start(jobs, draw)) == 1:  # no drawer: this thread draws each block, then steps it
             while n < blocks:
                 draw(0, *block_of(n))
                 step_block()
             return out
-        for rank in range(jobs):
-            (command_fd, command_w), (reply_r, reply_fd) = os.pipe(), os.pipe()
-            commands.append(open(command_w, "wb", buffering=0))
-            replies.append(open(reply_r, "rb"))
-            try:
-                if (pid := os.fork()) == 0:
-                    try:
-                        serve(rank, command_fd, reply_fd)
-                    finally:
-                        os._exit(0)  # no atexit handler, no second flush of inherited buffers
-                pids.append(pid)
-            finally:
-                for fd in (command_fd, reply_fd):
-                    os.close(fd)
-        dispatch(0)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            # a fresh copy per job: two threads cannot enter one context
+        barrier = threading.Barrier(jobs, action=step_block)
+        drawers.send(*block_of(0))
+        with ThreadPoolExecutor(max_workers=jobs) as pool:  # a fresh context copy per job: two threads cannot enter one
             futures = [pool.submit(contextvars.copy_context().run, job, rank) for rank in range(jobs)]
             try:
                 wait(futures)
             except BaseException:  # e.g. KeyboardInterrupt: stop the threads at their next barrier
                 barrier.abort()
                 raise
-    finally:  # each drawer reads end of file and exits; one still drawing a second later is killed
-        for pipe in commands + replies:
-            pipe.close()
-        deadline = time.monotonic() + 1.0
-        for pid in pids:
-            with contextlib.suppress(ChildProcessError):  # reaped already, as where SIGCHLD is ignored
-                while not os.waitpid(pid, os.WNOHANG)[0]:
-                    if time.monotonic() > deadline:
-                        os.kill(pid, signal.SIGKILL)
-                    time.sleep(1e-3)
-    errors = [e for e in (f.exception() for f in futures) if e is not None]
-    if errors:
+    if errors := [e for e in (f.exception() for f in futures) if e is not None]:
         raise next((e for e in errors if not isinstance(e, threading.BrokenBarrierError)), errors[0])
     return out

@@ -124,6 +124,8 @@ def _pathwise_summary(result) -> PathwiseExponentSummary:
     terminal = result.terminal_norm[valid]
     if terminal.size == 0:
         raise EstimationError("all paths diverged before the horizon; no pathwise exponents")
+    if np.isinf(float(np.log(UNDERFLOW_FLOOR)) / horizon):  # a denormal horizon: a floored exponent overflows
+        raise EstimationError(f"pathwise exponents log|X_T| / T overflow at the horizon T = {horizon}")
     censored = int(np.count_nonzero(terminal <= UNDERFLOW_FLOOR))
     gammas = np.log(np.maximum(terminal, UNDERFLOW_FLOOR)) / horizon
     q05, q50, q95 = np.quantile(gammas, [0.05, 0.50, 0.95])

@@ -222,6 +222,18 @@ def test_an_exponent_run_from_a_huge_start_prints_its_one_line_only(tmp_path, ca
     assert out == "" and err.startswith("estimation error: all paths diverged") and err.count("\n") == 1
 
 
+
+def test_an_exponent_run_over_a_denormal_horizon_prints_its_one_line_only(tmp_path, capfd):
+    # T = 10 * 5e-324: log|X_T| / T overflows, and the run is refused before numpy can warn
+    argv = ["exponent", "--model", "example41", "--delta", "5e-324", "--steps", "10", "--paths", "3",
+            "--refinement", "1", "--out", str(tmp_path / "denormal")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 4
+    out, err = capfd.readouterr()
+    assert out == "" and err.startswith("estimation error: pathwise exponents") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
 def test_main_reads_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model=example41\ndelta=5e-4\nsteps=20\npaths=2\nseed=4\nrefinement=1\n")

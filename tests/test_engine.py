@@ -7,14 +7,16 @@ horizon; it is checked only on the numpy version it was captured on.
 
 From two workers on, forked drawer processes draw each block's increments
 while a thread of the caller's process steps every lane; no drawer outlives
-its run, and one that dies without replying is a ``DrawerError``.  Without
-``os.fork`` the calling thread draws, to the same bytes.
+its run, and one that dies without replying is a ``DrawerError``.  A run
+beside another in a second thread ends on its own.  Without ``os.fork``, or
+where a pipe or fork is refused, the calling thread draws, to the same bytes.
 Neither the worker count, the block length nor the window changes an output
 byte, and memory does not grow with the number of steps.
 A run over several radii splits back into the runs under each radius alone.
 """
 
 import contextlib
+import errno
 import hashlib
 import mmap
 import os
@@ -622,3 +624,107 @@ def test_every_block_of_every_window_is_stepped_when_every_lane_diverges(workers
     assert len(calls) == 3 * 5 + 3
     for a, b in zip(_arrays(blocked), _arrays(whole)):
         assert a.tobytes() == b.tobytes()
+
+
+def test_a_run_beside_another_in_a_second_thread_ends_on_its_own(monkeypatch):
+    # a 1,024 x 2,000 run, then a 1,024 x 8,000 one 30 ms later, each with 2 drawers: the second run's drawers
+    # are forked while the first one's pipes are open, and must not keep them open.  Holding them, they would
+    # hide the end of file from the first run's drawers until the second run ends, and its drawers be killed.
+    fork, waitpid, kill = os.fork, os.waitpid, os.kill
+    live, most, kills, ends, errors, lock = set(), [0], [], {}, [], threading.Lock()
+
+    def counted_fork():
+        if pid := fork():
+            with lock:
+                live.add(pid)
+                most[0] = max(most[0], len(live))
+        return pid
+
+    def counted_waitpid(pid, options):
+        reaped = waitpid(pid, options)
+        with lock:
+            live.discard(reaped[0])
+        return reaped
+
+    def recorded_kill(pid, sig):
+        kills.append((pid, sig))
+        kill(pid, sig)
+
+    def run(steps):
+        try:
+            run_paths(m.example41(), 1.5, 2.0, 1e-2, steps, 1024, 5, 1, workers=2)
+        except BaseException as exc:  # noqa: BLE001 - checked below
+            errors.append(exc)
+        ends[steps] = time.monotonic()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "waitpid", counted_waitpid)
+    monkeypatch.setattr(os, "kill", recorded_kill)
+    threads = [threading.Thread(target=run, args=(steps,)) for steps in (2_000, 8_000)]
+    threads[0].start()
+    time.sleep(0.03)
+    threads[1].start()
+    for thread in threads:
+        thread.join(60)
+        assert not thread.is_alive()
+    assert errors == [] and kills == []
+    assert ends[2_000] < ends[8_000]
+    assert 2 <= most[0] <= 4 and not live
+
+
+def _refuse_call(monkeypatch, name, call, error):
+    """Make the ``call``-th ``os.<name>`` of the test raise ``error``, and pass every other call through."""
+    original, calls = getattr(os, name), []
+
+    def refused(*args):
+        calls.append(args)
+        if len(calls) == call:
+            raise error
+        return original(*args)
+
+    monkeypatch.setattr(os, name, refused)
+    return calls
+
+
+@pytest.mark.parametrize("name,call", [("fork", 1), ("fork", 2), ("pipe", 4)])
+def test_a_refused_fork_or_pipe_draws_in_the_caller_to_the_same_bytes(name, call, monkeypatch):
+    # em from x0 = 3 loses some paths; 64 paths in segments of 8, so that 2 drawers would share each window.
+    # The 4th pipe is drawer 1's reply pipe, refused after its command pipe was opened.
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 8)
+    baseline, descriptors = threading.active_count(), len(os.listdir("/proc/self/fd"))
+
+    def run(workers):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run_paths(m.example41(), np.inf, 3.0, 5e-3, 300, 64, 13, 2, moment_p=0.5, record_paths=10,
+                             workers=workers)
+
+    expected = run(1)
+    assert 0 < expected.diverged_paths < 64
+    calls = _refuse_call(monkeypatch, name, call, BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run(2)
+    assert len(calls) == call
+    for a, b in zip(_arrays(got), _arrays(expected)):
+        assert a.tobytes() == b.tobytes()
+    assert threading.active_count() == baseline
+    assert len(os.listdir("/proc/self/fd")) == descriptors  # no pipe end left open
+    with pytest.raises(ChildProcessError):  # the drawer forked before the refusal is reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_the_cli_draws_in_the_caller_when_a_fork_is_refused(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 8)
+    monkeypatch.chdir(tmp_path)
+    argv = ["exponent", "--model", "example41", "--delta", "5e-4", "--steps", "200", "--paths", "64", "--seed", "11",
+            "--refinement", "1", "--x0", "2.0", "--window", "0.2:1.0"]
+    assert main([*argv, "--out", "one", "--workers", "1"]) == 0
+    calls = _refuse_call(monkeypatch, "fork", 2, BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN)))
+    assert main([*argv, "--out", "two", "--workers", "2"]) == 0
+    assert len(calls) == 2
+    written = sorted(path.name for path in tmp_path.glob("one_*.csv"))
+    assert written
+    for name in written:
+        assert (tmp_path / name.replace("one_", "two_", 1)).read_bytes() == (tmp_path / name).read_bytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -112,6 +112,8 @@ def test_step_interpolant(ex41, ex41_policy):
     delta = 5e-4
     np.testing.assert_array_equal(m.interpolate_step_process(rec, 7 * delta), rec.states[7])
     np.testing.assert_array_equal(m.interpolate_step_process(rec, 7 * delta + delta / 2), rec.states[7])
+    assert not np.array_equal(rec.states[7], rec.states[8])
+    np.testing.assert_array_equal(m.interpolate_step_process(rec, 7.7 * delta), rec.states[7])  # floor, not round
     np.testing.assert_array_equal(m.interpolate_step_process(rec, 20 * delta), rec.states[20])
     with pytest.raises(InputError):
         m.interpolate_step_process(rec, -delta)

@@ -11,7 +11,8 @@ from mtemsim import engine
 from mtemsim.engine import run_paths
 from mtemsim.errors import EstimationError, EvaluationError, InputError, MtemError
 from mtemsim.models import SamplingPlan, functional_values, sample_states
-from mtemsim.stability import MomentEstimate, UNDERFLOW_FLOOR
+from mtemsim.engine import RunResult
+from mtemsim.stability import MomentEstimate, UNDERFLOW_FLOOR, _pathwise_summary
 from mtemsim.truncation import truncated_batch
 
 
@@ -131,6 +132,32 @@ def test_fit_exponent_counts_floor_censoring():
     fit = m.fit_exponent(est, (0.0, 1.0))
     assert fit.censored == 3
 
+
+
+def test_fit_exponent_censors_a_moment_exactly_at_the_floor():
+    times = np.linspace(0.0, 1.0, 21)
+    means = np.exp(-times)
+    means[-3] = np.nextafter(UNDERFLOW_FLOOR, 1.0)  # just above the floor: not censored
+    means[-2:] = UNDERFLOW_FLOOR
+    est = MomentEstimate(times, means, np.zeros_like(times), np.full(times.size, 4), 4, 0.5, 0)
+    assert m.fit_exponent(est, (0.0, 1.0)).censored == 2
+
+
+def test_pathwise_summary_censors_a_terminal_norm_exactly_at_the_floor():
+    result = RunResult.empty(5, 10, 0.1, 1)
+    result.terminal_norm[:] = [UNDERFLOW_FLOOR, np.nextafter(UNDERFLOW_FLOOR, 1.0), 0.5, 0.0, np.nan]
+    result.first_divergence[4] = 3
+    summary = _pathwise_summary(result)
+    assert (summary.censored, summary.diverged) == (2, 1)
+    assert summary.gammas[0] == summary.gammas[3] == math.log(UNDERFLOW_FLOOR) / 1.0
+
+
+def test_a_denormal_horizon_is_an_estimation_error_without_a_warning(ex41, ex41_policy):
+    # T = 10 * 5e-324: log|X_T| / T overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EstimationError, match="overflow at the horizon"):
+            m.run_stability_mc(ex41, ex41_policy, "mtem", 0.5, 2.0, 5e-324, 10, 3, 1)
 
 def test_as_exponent_zero_noise_value():
     model = m.linear(-1.0, 0.0)

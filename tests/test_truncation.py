@@ -261,3 +261,13 @@ def test_step_condition_flags_nonmonotone_product():
     policy = m.TruncationPolicy(lambda d: 1.0 if d > 1e-3 else 100.0, delta_star=1.0)
     report = m.verify_step_condition(policy, lambda r: r, [2e-3, 1e-3, 5e-4])
     assert not report.passed
+
+
+@pytest.mark.parametrize("rise", [0.0, 1e-9, 1e-6])
+def test_step_condition_tolerates_rounding_only(rise):
+    # h = 1 / delta, and L_h^4 * delta is 1 at delta = 1, then 1 + rise at delta = 1/2
+    levels = {1.0: 1.0, 2.0: (2.0 * (1.0 + rise)) ** 0.25}
+    policy = m.TruncationPolicy(lambda d: 1.0 / d, delta_star=1.0)
+    report = m.verify_step_condition(policy, levels.__getitem__, [1.0, 0.5])
+    assert [row.product for row in report.rows] == pytest.approx([1.0, 1.0 + rise], rel=1e-14, abs=0.0)
+    assert report.passed == (rise == 0.0)
