@@ -107,8 +107,8 @@ def _validate(config: RunConfig) -> RunConfig:
     lo, hi = config.window
     if not 0.0 <= lo < hi <= 1.0:
         raise ConfigError(f"window: fractions must satisfy 0 <= lo < hi <= 1, got {lo}:{hi}")
-    if not config.out or "\0" in config.out:
-        raise ConfigError(f"out: must be a non-empty path prefix without a NUL, got {config.out!r}")
+    if config.out.splitlines() != [config.out] or "\0" in config.out:  # a manifest line holds it whole
+        raise ConfigError(f"out: must be a non-empty path prefix without a NUL or a line break, got {config.out!r}")
     try:  # argv keeps a byte that is not UTF-8 as a lone surrogate, which no manifest can hold
         config.out.encode("utf-8")
     except UnicodeEncodeError as exc:

@@ -6,7 +6,9 @@ A model is the pair of coefficient maps (f, g) for
 
 together with a local Lipschitz bound R -> L_R valid for both coefficients on
 the closed ball of radius R.  Coefficients must broadcast over leading axes:
-an input of shape (..., d) yields an output of shape (..., d).  This lets the
+an input of shape (..., d) yields real values of shape (..., d), so a constant
+one returns ``np.zeros_like(x)`` or the like.  Every read of a coefficient
+checks this and refuses any other result with ``InputError``.  This lets the
 same callables serve single-state evaluation and batched path simulation.
 """
 
@@ -185,11 +187,20 @@ def state_norms(xs: np.ndarray) -> np.ndarray:
     return np.abs(xs[..., 0]) if xs.shape[-1] == 1 else np.hypot.reduce(xs, axis=-1)
 
 
+def _coefficient_values(name: str, coefficient: Coefficient, states: np.ndarray) -> np.ndarray:
+    """``coefficient`` at ``states`` as floats; ``InputError``, named ``name``, unless real and of their shape."""
+    values = np.asarray(coefficient(states))  # the one call of a coefficient: every read meets this rule
+    if values.shape != states.shape or values.dtype.kind not in "biuf":  # a complex value would lose its part
+        raise InputError(f"{name}: must map states of shape {states.shape} to real values of that shape, "
+                         f"got {values.dtype} values of shape {values.shape}")
+    return values.astype(float, copy=False)
+
+
 def _at_state(model: SdeModel, x, evaluate: Coefficient, what: str) -> np.ndarray:
-    """``evaluate`` at the one-row batch of state ``x``, its row, silent but for ``EvaluationError``."""
+    """``evaluate`` at the one-row batch of state ``x``, its row; silent but for errors that name ``what``."""
     xs = as_state(model, x)[None, :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value = np.array(evaluate(xs)[0], dtype=float)
+        value = _coefficient_values(what, evaluate, xs)[0].copy()
     _check_finite(value, what, xs)
     return value
 
@@ -206,10 +217,10 @@ def evaluate_diffusion(model: SdeModel, x) -> np.ndarray:
 
 def check_trivial_solution(model: SdeModel) -> bool:
     """True iff f(0) = 0 and g(0) = 0 exactly, so x == 0 solves the SDE."""
-    zero = np.zeros(model.dimension)
-    f0 = np.asarray(model.drift(zero), dtype=float)
-    g0 = np.asarray(model.diffusion(zero), dtype=float)
-    return bool(np.all(f0 == 0.0) and np.all(g0 == 0.0))
+    zero = np.zeros((1, model.dimension))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # 1 / x at 0 is inf, not a warning
+        values = [_coefficient_values(name, getattr(model, name), zero) for name in ("drift", "diffusion")]
+    return not np.any(values)  # a NaN is not 0 either
 
 
 def functional_values(xs: np.ndarray, f_vals: np.ndarray, g_vals: np.ndarray, p: float) -> np.ndarray:
@@ -256,8 +267,8 @@ def sample_states(plan: SamplingPlan, dimension: int) -> np.ndarray:
     """Materialize the plan's sample points, shape (n_points, dimension)."""
     decades = np.log10(plan.r_max / plan.r_min)
     n_radii = max(int(np.ceil(decades * plan.radii_per_decade)) + 1, 2)
+    _check_size(n_radii * (n_dir := plan.directions_per_radius) * dimension)  # before geomspace, for the radii too
     radii = np.geomspace(plan.r_min, plan.r_max, n_radii)
-    n_dir = plan.directions_per_radius
     points = np.empty((n_radii * n_dir, dimension))
     for i, r in enumerate(radii):
         seq = np.random.SeedSequence(entropy=plan.seed, spawn_key=(i,))
@@ -274,10 +285,10 @@ def _check_finite(values: np.ndarray, what: str, points: np.ndarray) -> None:
 
 
 def _sampled_functional(points: np.ndarray, drift: Coefficient, diffusion: Coefficient, p: float) -> np.ndarray:
-    """The stability functional of ``drift`` and ``diffusion`` at sampled points, silent but for ``EvaluationError``."""
+    """The stability functional of ``drift`` and ``diffusion`` at sampled points, silent but for errors."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = functional_values(points, np.asarray(drift(points), dtype=float),
-                                   np.asarray(diffusion(points), dtype=float), p)
+        values = functional_values(points, _coefficient_values("drift", drift, points),
+                                   _coefficient_values("diffusion", diffusion, points), p)
     _check_finite(values, "stability functional", points)
     return values
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .models import SdeModel, _at_state, _check_count, _check_real, _check_seed, _check_size, _check_step, state_norms
+from .models import (SdeModel, _at_state, _check_count, _check_real, _check_seed, _check_size, _check_step,
+                     _coefficient_values, state_norms)
 from .truncation import resolve_radius, truncation_factors
 
 __all__ = [
@@ -127,8 +128,8 @@ def advance_states(
     """
     inward, outward = truncation_factors(state_norms(states) if norms is None else norms, radius)
     projected = inward * states
-    f_vals = outward * np.asarray(model.drift(projected), dtype=float)
-    g_vals = outward * np.asarray(model.diffusion(projected), dtype=float)
+    f_vals = outward * _coefficient_values("drift", model.drift, projected)
+    g_vals = outward * _coefficient_values("diffusion", model.diffusion, projected)
     return states + f_vals * delta + g_vals * db[..., None]
 
 

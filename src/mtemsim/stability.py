@@ -17,8 +17,8 @@ import numpy as np
 from .engine import run_paths
 from .errors import EstimationError, InputError
 from .models import (LAMBDA_TOLERANCE, SamplingPlan, SdeModel, _check_count, _check_finite, _check_moment_order,
-                     _check_real, _check_seed, _check_step, _gaussian_directions, _sampled_functional, sample_states,
-                     state_norms)
+                     _check_real, _check_seed, _check_size, _check_step, _gaussian_directions, _sampled_functional,
+                     sample_states, state_norms)
 from .schemes import scheme_radius
 from .truncation import truncated_batch
 
@@ -299,9 +299,9 @@ def verify_lemma_global_lipschitz(
     trials, seed, h = _check_count("trials", trials), _check_seed("seed", seed), _check_step("radius", radius)
     if (outer := LIPSCHITZ_RADIUS_MULTIPLE * h) == np.inf:
         raise InputError(f"radius: 10 h must be finite, got {radius!r}")
+    _check_size(4 * trials * model.dimension)  # the largest array: both coefficients at both states of each pair
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
-    n_inside = trials // 3
-    n_outside = trials // 3
+    n_inside = n_outside = trials // 3
     n_straddle = trials - n_inside - n_outside
 
     cases = ((n_inside, (0.0, h), (0.0, h)), (n_outside, (h, outer), (h, outer)), (n_straddle, (0.0, h), (h, outer)))

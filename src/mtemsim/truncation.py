@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, InputError
-from .models import SdeModel, _at_state, _check_radius, _check_step, state_norms
+from .models import SdeModel, _at_state, _check_radius, _check_step, _coefficient_values, state_norms
 
 __all__ = [
     "TruncationPolicy",
@@ -179,7 +179,7 @@ def truncated_batch(coefficient, xs: np.ndarray, radius, norms: np.ndarray | Non
     """
     xs = np.asarray(xs, dtype=float)
     inward, outward = truncation_factors(state_norms(xs) if norms is None else norms, radius)
-    return outward * np.asarray(coefficient(inward * xs), dtype=float)
+    return outward * _coefficient_values("coefficient", coefficient, inward * xs)
 
 
 def eval_f_delta(model: SdeModel, policy_or_radius, x, delta: float | None = None) -> np.ndarray:

@@ -420,6 +420,26 @@ def test_bytes_the_cli_cannot_read_or_write_are_one_configuration_error(tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+# Every character str.splitlines breaks a line at, in code point order, then "\r\n", one break of two.
+LINE_BREAKS = ["\n", "\x0b", "\x0c", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r\n"]
+
+
+def test_the_line_breaks_are_every_character_splitlines_breaks_at():
+    assert [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) == 2] == LINE_BREAKS[:-1]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=lambda brk: brk.encode("unicode_escape").decode())
+def test_an_out_prefix_with_a_line_break_is_one_configuration_error_before_any_file(tmp_path, monkeypatch, capsys,
+                                                                                     brk):
+    # the manifest holds out on one line: "a\nseed=5" would replay as seed 5, and write other bytes
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--seed", "7", "--steps", "2", "--paths", "2", "--refinement", "1",
+                 "--out", f"a{brk}seed=5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: out: must be a non-empty path prefix without a NUL or a line break")
+    assert len(err.splitlines()) == err.count("\n") == 1 and list(tmp_path.iterdir()) == []
+
+
 _VALID_CONFIG = b"# mtemsim 0.1.0\nmodel=example41\nscheme=mtem\np=0.5\ndelta=0.0005\nseed=7\nx0=2.0\nwindow=0.4:1.0\n"
 
 

@@ -122,3 +122,24 @@ def test_no_function_outside_models_and_cli_coerces_an_argument_with_float():
              for node in ast.walk(_tree(module)) if isinstance(node, ast.FunctionDef)
              if (calls := _float_of_an_argument(node))}
     assert found == {}
+
+
+_COEFFICIENT_HOLDERS = {"coefficient", "evaluate", "drift", "diffusion"}  # the parameters that are handed one
+
+
+def _coefficient_calls(tree: ast.AST) -> list[ast.Call]:
+    """The calls in ``tree`` of a model's drift or diffusion, or of a name that holds a coefficient."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr in ("drift", "diffusion")
+        or isinstance(node.func, ast.Name) and node.func.id in _COEFFICIENT_HOLDERS)]
+
+
+def test_a_coefficient_is_called_in_models_coefficient_values_only():
+    # so every read of a coefficient meets the one shape rule there
+    trees = {path.name: _tree(path.stem) for path in sorted(SRC.glob("*.py"))}
+    inside = [call for node in ast.walk(trees["models.py"]) if isinstance(node, ast.FunctionDef)
+              and node.name == "_coefficient_values" for call in _coefficient_calls(node)]
+    found = [f"{name}: {ast.unparse(call)}" for name, tree in trees.items()
+             for call in _coefficient_calls(tree) if all(call is not rule_call for rule_call in inside)]
+    assert found == []
+    assert [ast.unparse(call) for call in inside] == ["coefficient(states)"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,15 @@ def test_check_trivial_solution(ex41):
     assert m.check_trivial_solution(m.linear(2.0, 3.0))
     shifted = m.SdeModel("shifted", 1, lambda x: x + 1.0, lambda x: x, lambda r: 1.0)
     assert not m.check_trivial_solution(shifted)
+
+
+@pytest.mark.parametrize("coefficient", [lambda x: 1.0 / x, lambda x: 0.0 / x], ids=["inf", "nan"])
+def test_a_coefficient_not_finite_at_zero_has_no_trivial_solution_and_no_warning(coefficient):
+    # read at the one-row zero under the errstate of every other read: numpy warns on neither division there
+    model = m.SdeModel("pole", 1, lambda x: -x, coefficient, lambda r: 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not m.check_trivial_solution(model)
 
 
 def test_stability_params_validation():

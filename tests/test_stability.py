@@ -1,6 +1,8 @@
 import math
 import os
 import re
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -524,3 +526,160 @@ def test_example41_decays_at_every_step_the_policy_accepts(ex41, ex41_policy, ha
     assert pathwise.q95 <= -0.5  # criterion 7: almost sure decay at rate 1 - eps, eps = 0.5
     # criterion 6 in the form of a bound: E|X_T|^p <= |x0|^p e^(-p (lambda - eps) T), lambda - eps = 0.5
     assert moments.means[-1] <= 2.0**0.5 * math.exp(-1.25) + 3 * moments.stderrs[-1]
+
+
+# --- each reported statistic, computed a second way from the recorded paths ----------------------------
+# Example41 under plain EM, from x0 = 1 at delta = 1e-2: 5 of 16 paths diverge, 11 decay to T = 2.
+_RECORDED = dict(model=m.example41(), x0=1.0, delta=1e-2, steps=200, paths=16, seed=3)
+
+
+@pytest.fixture(scope="module")
+def recorded_run():
+    """A moment run and the same paths recorded: the states do not depend on whether sums are taken."""
+    c = _RECORDED
+    run = m.run_stability_mc(c["model"], None, "em", 0.5, c["x0"], c["delta"], c["steps"], c["paths"], c["seed"])
+    paths = run_paths(c["model"], math.inf, c["x0"], c["delta"], c["steps"], c["paths"], c["seed"],
+                      record_paths=c["paths"])
+    return run, paths
+
+
+def test_the_recorded_run_has_diverged_and_surviving_paths(recorded_run):
+    run, paths = recorded_run
+    assert 0 < paths.diverged_paths == run.moments.diverged_paths == run.pathwise.diverged < paths.paths - 2
+    assert run.pathwise.gammas.size == paths.paths - paths.diverged_paths
+
+
+def test_moments_alive_counts_and_two_pass_stderrs_match_the_recorded_paths(recorded_run):
+    run, paths = recorded_run
+    est, first = run.moments, paths.first_divergence
+    steps = np.arange(paths.steps + 1)
+    # a path counts up to the step before the one it diverges at
+    alive = (first[:, None] < 0) | (steps[None, :] < first[:, None])
+    values = np.linalg.norm(paths.states, axis=-1) ** est.p
+    np.testing.assert_array_equal(est.alive, alive.sum(axis=0))
+    means, stderrs = [], []
+    for k in steps:
+        v = values[alive[:, k], k]
+        means.append(v.mean())
+        stderrs.append(math.sqrt(np.sum((v - v.mean()) ** 2) / (v.size - 1) / v.size))  # the two-pass formula
+    np.testing.assert_allclose(est.means, means, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(est.stderrs, stderrs, rtol=1e-12, atol=0.0)
+    assert est.stderrs[1:].min() > 0.0  # every later step has a spread to get wrong
+
+
+def test_pathwise_quantiles_and_max_match_the_recorded_terminal_states(recorded_run):
+    run, paths = recorded_run
+    pw, survived = run.pathwise, paths.first_divergence < 0
+    horizon = paths.steps * paths.delta
+    gammas = np.log(np.maximum(np.linalg.norm(paths.states[survived, -1], axis=-1), UNDERFLOW_FLOOR)) / horizon
+    np.testing.assert_allclose(pw.gammas, gammas, rtol=1e-12, atol=0.0)
+    expected = [*np.quantile(gammas, [0.05, 0.50, 0.95]), gammas.max()]
+    np.testing.assert_allclose([pw.q05, pw.q50, pw.q95, pw.max_exponent], expected, rtol=1e-12, atol=0.0)
+    assert pw.q95 < pw.max_exponent and (pw.horizon, pw.paths, pw.censored) == (horizon, paths.paths, 0)
+
+
+def test_the_fit_matches_an_independent_least_squares_formula(recorded_run):
+    est = recorded_run[0].moments
+    fit = m.fit_exponent(est, (0.5, 2.0))
+    t = est.times[(est.times >= 0.5 - 1e-9 * 2.0) & (est.times <= 2.0 + 1e-9 * 2.0)]
+    y = np.log(est.means[np.searchsorted(est.times, t)])
+    slope = np.sum((t - t.mean()) * (y - y.mean())) / np.sum((t - t.mean()) ** 2)
+    intercept = y.mean() - slope * t.mean()
+    r_squared = 1.0 - np.sum((y - slope * t - intercept) ** 2) / np.sum((y - y.mean()) ** 2)
+    assert fit.slope == pytest.approx(slope, rel=1e-9) and fit.intercept == pytest.approx(intercept, rel=1e-9)
+    assert fit.r_squared == pytest.approx(r_squared, rel=1e-9) and 0.5 < fit.r_squared < 0.9999
+    assert (fit.window, fit.censored) == ((0.5, 2.0), 0)
+
+
+# --- a coefficient whose values are not real, or not of the states' shape ----------------------------------
+# Each returns what a slip in writing one would: its kind, its dimension, and the value it returns for states x.
+HOSTILE_COEFFICIENTS = {
+    "flat": (1, lambda x: -x[..., 0]),  # one value per row
+    "extra-column": (1, lambda x: np.concatenate([x, x], axis=-1)),
+    "transposed": (2, lambda x: x.T),  # never called with as many rows as columns here
+    "0-d": (1, lambda x: 1.0),
+    "complex": (1, lambda x: x + 0j),  # of the states' shape
+    "text": (1, lambda x: np.full(x.shape, "x")),  # of the states' shape
+}
+
+
+def _hostile_model(kind: str, name: str) -> m.SdeModel:
+    """A model whose coefficient ``name`` is of the hostile ``kind``, the other one -x."""
+    dimension, hostile = HOSTILE_COEFFICIENTS[kind]
+    drift, diffusion = (hostile, lambda x: -x) if name == "drift" else (lambda x: -x, hostile)
+    return m.SdeModel(kind, dimension, drift, diffusion, lambda radius: 1.0)
+
+
+def _interpolate(model):
+    path = m.BrownianPath.generate(1, 0, 1e-3, 5, 2)
+    record = m.simulate_path(m.linear(-1.0, 0.5) if model.dimension == 1 else m.SdeModel(
+        "2-d", 2, lambda x: -x, lambda x: 0.5 * x, lambda r: 1.0), 1.5, "mtem", _x0(model), 1e-3, 5, path)
+    return m.interpolate_continuous_mtem(model, 1.5, record, path, 2.5e-3)  # half a step: the coefficients are read
+
+
+def _x0(model):
+    return [1.0, 2.0][:model.dimension]
+
+
+# Every entry point that reads a model's coefficients, and whether it reads them through truncated_batch,
+# which is handed a bare callable and names it "coefficient".
+COEFFICIENT_READERS = {
+    "run_paths": (lambda model, name: run_paths(model, 1.5, _x0(model), 1e-3, 5, 5, 1), False),
+    "run_paths-workers=2": (lambda model, name: run_paths(model, 1.5, _x0(model), 1e-3, 5, 5, 1, workers=2), False),
+    "simulate_path": (lambda model, name: m.simulate_path(model, 1.5, "mtem", _x0(model), 1e-3, 5,
+                                                          m.BrownianPath.generate(1, 0, 1e-3, 5, 2)), False),
+    "step_mtem": (lambda model, name: m.step_mtem(model, 1.5, _x0(model), 1e-3, 0.1), False),
+    "eval_delta": (lambda model, name: (m.eval_f_delta if name == "drift" else m.eval_g_delta)(
+        model, 1.5, _x0(model)), True),
+    "interpolate_continuous_mtem": (lambda model, name: _interpolate(model), False),
+    "evaluate": (lambda model, name: (m.evaluate_drift if name == "drift" else m.evaluate_diffusion)(
+        model, _x0(model)), False),
+    "stability_functional": (lambda model, name: m.stability_functional(model, 0.5, _x0(model)), False),
+    "check_trivial_solution": (lambda model, name: m.check_trivial_solution(model), False),
+    "estimate_lambda": (lambda model, name: m.estimate_lambda(model, 0.5), False),
+    "cross_check_lambda": (lambda model, name: m.cross_check_lambda(model, m.StabilityParams(0.5, 1.0)), False),
+    "global_lipschitz": (lambda model, name: m.verify_lemma_global_lipschitz(model, 2.0, trials=30), True),
+    "lambda_preserved": (lambda model, name: m.verify_lemma_lambda_preserved(model, 2.0, 0.5, 1.0), True),
+}
+
+
+@pytest.mark.parametrize("call", COEFFICIENT_READERS)
+@pytest.mark.parametrize("name", ["drift", "diffusion"])
+@pytest.mark.parametrize("kind", HOSTILE_COEFFICIENTS)
+def test_a_misshapen_or_unreal_coefficient_is_an_input_error_that_names_it(monkeypatch, kind, name, call):
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 2)  # 5 paths in 3 segments: 2 workers fork 2 drawers
+    take, bare = COEFFICIENT_READERS[call]
+    threads = threading.active_count()
+    with warnings.catch_warnings(), pytest.raises(InputError) as caught:
+        warnings.simplefilter("error")
+        take(_hostile_model(kind, name), name)
+    assert re.match(rf"{'coefficient' if bare else name}: must map states of shape \(\d+, \d\) to real values of "
+                    r"that shape, got \S+ values of shape \(", str(caught.value))
+    assert threading.active_count() == threads
+    with pytest.raises(ChildProcessError):  # no drawer left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_flat_coefficient_is_refused_before_its_lanes_mix():
+    # broadcast against the (n, 1) states, a (n,) result built (n, n) arrays: 811 MB at 4,096 paths
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=r"^drift: .* got float64 values of shape \(4096,\)$"):
+            run_paths(_hostile_model("flat", "drift"), 1.5, 1.0, 1e-3, 2, 4096, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("call", [
+    lambda model: m.estimate_lambda(model, 0.5, SamplingPlan(directions_per_radius=2**62)),
+    lambda model: sample_states(SamplingPlan(radii_per_decade=2**62), model.dimension),
+    lambda model: m.verify_lemma_global_lipschitz(model, 2.0, trials=2**62),
+], ids=["directions_per_radius", "radii_per_decade", "trials"])
+def test_a_sample_numpy_cannot_index_is_a_memory_error_before_any_draw(ex41, monkeypatch, call):
+    # each count is in range, the sample it asks for is not; run_paths and BrownianPath refuse such sizes alike
+    monkeypatch.setattr(np, "geomspace", None)  # spacing the radii would fail on calling it
+    monkeypatch.setattr(m.stability, "_pair_block", None)  # as would drawing a pair
+    with pytest.raises(MemoryError, match="more than numpy can index"):
+        call(ex41)
