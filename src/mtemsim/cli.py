@@ -36,7 +36,7 @@ COMPARE_TRAJECTORY_PATHS = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated inputs of one CLI run."""
+    """Inputs of one CLI run; one that cannot run is a ``ConfigError`` when it is built."""
 
     model: str = "example41"
     mu: float | None = None
@@ -52,11 +52,12 @@ class RunConfig:
     window: tuple[float, float] = (0.4, 1.0)
     out: str = "run"
 
+    def __post_init__(self):
+        _plan(self, (self.scheme,))
 
-def _parse_window(raw) -> tuple[float, float]:
-    if isinstance(raw, (tuple, list)) and len(raw) == 2:
-        return float(raw[0]), float(raw[1])
-    parts = str(raw).split(":")
+
+def _parse_window(raw: str) -> tuple[float, float]:
+    parts = raw.split(":")
     if len(parts) != 2:
         raise ValueError("expected LO:HI")
     return float(parts[0]), float(parts[1])
@@ -103,12 +104,15 @@ def _config_file_values(text: str) -> dict:
     return values
 
 
-def _validate(config: RunConfig) -> RunConfig:
+def _plan(config: RunConfig, schemes: tuple, workers: int = 1) -> tuple[SdeModel, TruncationPolicy, tuple]:
+    """``config``'s model, policy and radius of each of ``schemes``; ``ConfigError`` if it cannot run them."""
     lo, hi = config.window
     if not 0.0 <= lo < hi <= 1.0:
         raise ConfigError(f"window: fractions must satisfy 0 <= lo < hi <= 1, got {lo}:{hi}")
     if config.out.splitlines() != [config.out] or "\0" in config.out:  # a manifest line holds it whole
         raise ConfigError(f"out: must be a non-empty path prefix without a NUL or a line break, got {config.out!r}")
+    if config.out != config.out.strip():  # the config reader strips every value
+        raise ConfigError(f"out: must not begin or end with whitespace, got {config.out!r}")
     try:  # argv keeps a byte that is not UTF-8 as a lone surrogate, which no manifest can hold
         config.out.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -121,10 +125,12 @@ def _validate(config: RunConfig) -> RunConfig:
             _check_count(key, getattr(config, key))
         _check_seed("seed", config.seed)
         as_state(model, config.x0, "x0")
-        scheme_radius(default_policy(model), config.scheme, config.delta)  # the policy's bound on delta too
+        policy = default_policy(model)  # compare and verify step mtem whatever scheme says: it bounds delta there too
+        radii = tuple(scheme_radius(policy, name, config.delta) for name in schemes)
+        _check_count("workers", workers)
     except InputError as exc:
         raise ConfigError(str(exc)) from None
-    return config
+    return model, policy, radii
 
 
 def parse_config(text: str | None = None, flags: dict | None = None) -> RunConfig:
@@ -138,7 +144,7 @@ def parse_config(text: str | None = None, flags: dict | None = None) -> RunConfi
     for key, raw in (flags or {}).items():
         if raw is not None:
             values[key] = _coerce(key, raw)
-    return _validate(RunConfig(**values))
+    return RunConfig(**values)
 
 
 # --- deterministic output helpers -------------------------------------------
@@ -292,14 +298,7 @@ def run_command(subcommand: str, config: RunConfig, workers: int = 1) -> int:
     if subcommand not in _COMMANDS:
         raise InputError(f"unknown subcommand {subcommand!r}; expected one of {SUBCOMMANDS}")
     runner, schemes, _ = _COMMANDS[subcommand]
-    model = get_model(config.model, config.mu, config.sigma)
-    policy = default_policy(model)
-    try:  # compare and verify step mtem whatever the configured scheme, so its policy bounds delta there too
-        radii = tuple(scheme_radius(policy, name, config.delta) for name in schemes or (config.scheme,))
-        _check_count("workers", workers)
-    except InputError as exc:
-        raise ConfigError(str(exc)) from None
-    status = runner(config, model, policy, radii, workers)
+    status = runner(config, *_plan(config, schemes or (config.scheme,), workers), workers)
     _write_manifest(config, subcommand)
     return status
 
@@ -321,8 +320,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with ``--<key> -1e9`` as ``--<key>=-1e9`` for any float: argparse takes -1e9, not -3, for a flag."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1].startswith("--") and joined[-1][2:] in _KEYS and token.startswith("-"):
+            try:
+                float(token)
+                token = f"{joined.pop()}={token}"
+            except ValueError:
+                pass
+        joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_joined_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         text = None
         if args.config is not None:

@@ -209,7 +209,7 @@ def step_paths(lanes: Lanes, coarse: np.ndarray) -> None:
         sums, sqsums = np.empty((b, nseg)), np.empty((b, nseg))
         alive_counts = np.empty(b, dtype=np.int64)
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for j in range(b):
             k = k0 + j
             if copies == 1:

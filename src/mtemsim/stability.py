@@ -314,7 +314,7 @@ def verify_lemma_global_lipschitz(
     x, y, gaps = x[distinct], y[distinct], gaps[distinct]
 
     states = np.concatenate([x, y])
-    with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite raises below instead
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # one not finite raises below instead
         f, g = (truncated_batch(c, states, h) for c in (model.drift, model.diffusion))
         ratios = np.column_stack([state_norms(np.subtract(*np.split(v, 2))) / gaps for v in (f, g)])
     _check_finite(np.hstack([f, g]), "truncated drift or diffusion", states)

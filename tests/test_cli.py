@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import random
@@ -11,7 +13,7 @@ import pytest
 
 import mtemsim as m
 from mtemsim import cli, engine
-from mtemsim.cli import main, parse_config, run_command
+from mtemsim.cli import RunConfig, main, parse_config, run_command
 from mtemsim.errors import ConfigError
 
 
@@ -440,6 +442,50 @@ def test_an_out_prefix_with_a_line_break_is_one_configuration_error_before_any_f
     assert len(err.splitlines()) == err.count("\n") == 1 and list(tmp_path.iterdir()) == []
 
 
+def _flag(value) -> str:
+    """The text of a flag that parses to ``value``."""
+    return value if isinstance(value, str) else ":".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+
+@pytest.mark.parametrize("fields", [
+    pytest.param({"out": "x\nseed=5"}, id="out-newline"), pytest.param({"out": "x\u2028seed=5"}, id="out-u2028"),
+    pytest.param({"out": "a\0b"}, id="out-nul"), pytest.param({"out": "a\udcffb"}, id="out-lone-surrogate"),
+    pytest.param({"out": " sp"}, id="out-leading-space"), pytest.param({"window": (0.9, 0.1)}, id="window"),
+    pytest.param({"model": "linear", "sigma": 0.5}, id="linear-without-mu"), pytest.param({"steps": 0}, id="steps"),
+    pytest.param({"p": 1.5}, id="p"), pytest.param({"delta": 1e-2}, id="delta-above-the-mtem-bound"),
+    pytest.param({"x0": math.inf}, id="x0"),
+])
+def test_a_run_config_that_parse_config_refuses_cannot_be_built(tmp_path, monkeypatch, fields):
+    # run_command runs the RunConfig it is handed, so one built in code meets the rules of one parsed from text
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(flags={key: _flag(value) for key, value in fields.items()})
+    with pytest.raises(ConfigError) as built:
+        RunConfig(**fields)
+    assert str(built.value) == str(parsed.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, value", [("x0", "-1e9"), ("mu", "-2.5e-1"), ("sigma", "-1E3"), ("delta", "-1e-3")])
+def test_a_negative_flag_value_in_exponent_form_runs_as_its_equals_form(tmp_path, monkeypatch, capsys, key, value):
+    argv = ["simulate", "--steps", "2", "--paths", "2", "--refinement", "1", "--out", "r"]
+    if key in ("mu", "sigma"):
+        argv += ["--model", "linear", "--mu", "-1", "--sigma", "0.5"]
+    runs = []
+    for name, flag in (("spaced", [f"--{key}", value]), ("joined", [f"--{key}={value}"])):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        code = main([*argv, *flag])
+        runs.append((code, capsys.readouterr().err, {path.name: path.read_bytes() for path in Path().iterdir()}))
+    assert runs[0] == runs[1]
+
+
+def test_a_flag_takes_no_other_flag_as_its_value(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["simulate", "--out", "--x0", "1"])
+    assert done.value.code == 2 and "argument --out: expected one argument" in capsys.readouterr().err
+
+
 _VALID_CONFIG = b"# mtemsim 0.1.0\nmodel=example41\nscheme=mtem\np=0.5\ndelta=0.0005\nseed=7\nx0=2.0\nwindow=0.4:1.0\n"
 
 
@@ -524,3 +570,31 @@ def test_a_flag_with_any_bytes_exits_with_a_documented_code_and_one_line(tmp_pat
     out, err = capsys.readouterr()
     assert code in (0, 2, 3, 4, 5)
     assert out == "" and err.count("\n") <= 1 and "Traceback" not in err
+
+
+def test_every_accepted_mutation_writes_a_manifest_that_replays_to_an_equal_config(monkeypatch):
+    manifests = {}
+
+    class Manifest(io.StringIO):  # the manifest kept in memory: an edited out may name any path
+        def __init__(self, path, *args, **kwargs):
+            super().__init__()
+            self.path = path
+
+        def close(self):
+            manifests[self.path] = self.getvalue()
+            super().close()
+
+    monkeypatch.setattr(cli, "open", Manifest, raising=False)
+    accepted = []
+    for text in _MUTATED:
+        with contextlib.suppress(UnicodeDecodeError, ConfigError):  # the CLI reads a config as strict UTF-8
+            accepted.append(parse_config(text=text.decode("utf-8")))
+    for key, value in _MUTATED_FLAGS:
+        linear = {"model": "linear", "mu": "-1", "sigma": "0.5"} if key in ("mu", "sigma") else {}
+        with contextlib.suppress(ConfigError):
+            accepted.append(parse_config(flags={**linear, key: value}))
+    replayed = []
+    for config in accepted:
+        cli._write_manifest(config, "simulate")
+        replayed.append(parse_config(text=manifests.pop(f"{config.out}_manifest.txt")))
+    assert replayed == accepted and len(accepted) == 41  # 14 files and 27 flags of the 600

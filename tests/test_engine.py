@@ -384,6 +384,25 @@ def test_the_callers_errstate_holds_on_every_worker_thread(monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_callers_underflow_rule_holds_on_every_worker_thread(workers, monkeypatch):
+    # a step sets its own rule for overflow, invalid values and division by zero, and leaves underflow to the caller
+    monkeypatch.setattr(engine, "CHUNK_PATHS", 16)  # 3 segments: two drawers, and two threads that step
+    model = SdeModel("underflows", 1, lambda x: x * 1e-300 * 1e-300, lambda x: 0.5 * x, lambda r: 1.0)
+    with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+        run_paths(model, np.inf, 1.0, 1e-2, 5, 40, 9, 1, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_lane_at_a_coefficient_that_divides_by_zero_freezes_without_a_warning(workers):
+    # x log|x| reads log(0) at x = 0 on every lane, frozen ones too: a step reads it as models does, divide ignored
+    model = SdeModel("xlogx", 1, lambda x: x * np.log(np.abs(x)), lambda x: 0.5 * x, lambda r: 10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = run_paths(model, 1.0, 0.0, 1e-2, 5, 1024, 1, 1, workers=workers)
+    assert run.first_divergence.tolist() == [1] * 1024
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_draws_run_in_drawer_processes_from_two_workers_on(workers, monkeypatch):
     parent, seen = os.getpid(), mmap.mmap(-1, 2)  # shared: [a draw in this process, a draw in another]

@@ -143,3 +143,17 @@ def test_a_coefficient_is_called_in_models_coefficient_values_only():
              for call in _coefficient_calls(tree) if all(call is not rule_call for rule_call in inside)]
     assert found == []
     assert [ast.unparse(call) for call in inside] == ["coefficient(states)"]
+
+
+_PLANNERS = {"get_model", "default_policy", "scheme_radius"}  # and every models._check_* rule
+
+
+def test_the_cli_plans_a_run_in_plan_only():
+    # so one function decides which configurations exist and what each one runs
+    tree = _tree("cli")
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and (node.func.id in _PLANNERS or node.func.id.startswith("_check_"))]
+    inside = [call for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_plan"
+              for call in ast.walk(node) if isinstance(call, ast.Call)]
+    assert [ast.unparse(call) for call in calls if all(call is not planned for planned in inside)] == []
+    assert {call.func.id for call in calls} >= _PLANNERS

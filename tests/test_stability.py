@@ -301,6 +301,14 @@ def test_a_sample_that_is_not_finite_is_an_evaluation_error_without_a_warning(ex
         evaluate(ex41, radius)
 
 
+def test_a_coefficient_that_divides_by_zero_is_an_evaluation_error_without_a_warning():
+    # log(0) is -inf with numpy's divide warning: the verifier reads coefficients under models' errstate
+    model = m.SdeModel("log_of_zero", 1, lambda x: np.log(0.0 * x), lambda x: 0.5 * x, lambda r: 10.0)
+    with warnings.catch_warnings(), pytest.raises(EvaluationError, match="truncated drift or diffusion is not finite"):
+        warnings.simplefilter("error")
+        m.verify_lemma_global_lipschitz(model, 1.0, trials=30)
+
+
 def test_lipschitz_verifier_refuses_a_difference_quotient_that_overflows():
     # f(x) = 1e307 x is finite for |x| <= 10, but f(x) - f(y) overflows for x near 10 and y near -10
     with pytest.raises(EvaluationError, match="difference quotient of the truncated coefficients is not finite"):
