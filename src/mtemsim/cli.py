@@ -36,7 +36,7 @@ COMPARE_TRAJECTORY_PATHS = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Inputs of one CLI run; one that cannot run is a ``ConfigError`` when it is built."""
+    """Inputs of one CLI run, each a value or its text; one that cannot run is a ``ConfigError`` when it is built."""
 
     model: str = "example41"
     mu: float | None = None
@@ -53,6 +53,9 @@ class RunConfig:
     out: str = "run"
 
     def __post_init__(self):
+        for key in _KEYS:  # the one place where text becomes a value: each field holds what its manifest reads as
+            if (value := getattr(self, key)) is not None or key not in ("mu", "sigma"):
+                object.__setattr__(self, key, _coerce(key, _text(value)))
         _plan(self, (self.scheme,))
 
 
@@ -63,7 +66,7 @@ def _parse_window(raw: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-# Every configuration key, in RunConfig field order: its parser and its --help text.
+# Every configuration key, in RunConfig field order: the parser of its text and its --help text.
 _KEYS = {
     "model": (str, f"model key: {', '.join(MODEL_KEYS)}"),
     "mu": (float, "linear model drift coefficient"),
@@ -81,16 +84,20 @@ _KEYS = {
 }
 
 
-def _coerce(key: str, raw):
-    if key not in _KEYS:
-        raise ConfigError(f"unknown configuration key {key!r}")
+def _text(value) -> str:
+    """``value`` as its manifest line writes it: a ``str`` as it is, a tuple as ``lo:hi``, anything else by ``repr``."""
+    return value if isinstance(value, str) else ":".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+
+def _coerce(key: str, text: str):
     try:
-        return _KEYS[key][0](raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from None
+        return _KEYS[key][0](text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: cannot parse {text!r} ({exc})") from None
 
 
 def _config_file_values(text: str) -> dict:
+    """Each key of a config file body and the text of its last value; only the line syntax is checked."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -99,8 +106,7 @@ def _config_file_values(text: str) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        values[key] = _coerce(key, raw.strip())
+        values[key.strip()] = raw.strip()
     return values
 
 
@@ -137,13 +143,13 @@ def parse_config(text: str | None = None, flags: dict | None = None) -> RunConfi
     """Build a validated RunConfig from a config file body and/or flag overrides.
 
     ``text`` is a line-oriented key=value file ('#' starts a comment); values
-    supplied in ``flags`` take precedence over the file.  Unknown keys are
-    rejected.
+    supplied in ``flags``, as values or as text, take precedence over the
+    file.  Unknown keys are rejected before any value is read.
     """
-    values = dict(_config_file_values(text)) if text is not None else {}
-    for key, raw in (flags or {}).items():
-        if raw is not None:
-            values[key] = _coerce(key, raw)
+    values = _config_file_values(text) if text is not None else {}
+    values.update((key, raw) for key, raw in (flags or {}).items() if raw is not None)
+    if unknown := [key for key in values if key not in _KEYS]:
+        raise ConfigError(f"unknown configuration key {unknown[0]!r}")
     return RunConfig(**values)
 
 
@@ -152,19 +158,14 @@ def parse_config(text: str | None = None, flags: dict | None = None) -> RunConfi
 
 def _write_csv(path: str, header: list[str], lines) -> None:
     """Write the header, then ``lines``: strings of whole lines."""
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(lines)
 
 
 def _write_manifest(config: RunConfig, subcommand: str) -> None:
     lines = [f"# mtemsim {__version__}", f"# subcommand {subcommand}"]
-    for key in _KEYS:
-        value = getattr(config, key)
-        if key == "window":
-            lines.append(f"window={value[0]!r}:{value[1]!r}")
-        elif value is not None:
-            lines.append(f"{key}={value if isinstance(value, str) else repr(value)}")
+    lines += [f"{key}={_text(getattr(config, key))}" for key in _KEYS if getattr(config, key) is not None]
     with open(f"{config.out}_manifest.txt", "w", newline="\n", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -313,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=text)
         sp.add_argument("--config", help="key=value config file; flags override it")
         for key, (_, text) in _KEYS.items():
-            sp.add_argument(f"--{key}", help=text)  # a raw string: _coerce parses it like a file value
+            sp.add_argument(f"--{key}", help=text)  # text: RunConfig reads it like a file value
         sp.add_argument("--workers", type=int, default=1,
                         help="2 or more fork that many drawer processes, at most the window's 8 segments, to draw "
                              "each block's increments ahead; 1 draws in this process, which steps all paths")

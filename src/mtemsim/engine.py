@@ -141,11 +141,10 @@ class Lanes:
     """
 
     def __init__(self, model: SdeModel, radius, x0: np.ndarray, delta: float, out: RunResult,
-                 start: int = 0, count: int | None = None, *, moment_p: float | None = None,
+                 start: int, count: int, *, moment_p: float | None = None,
                  compensation: tuple[np.ndarray, np.ndarray] | None = None):
         radii = np.minimum(np.ravel(radius), UNTRUNCATED)
         copies, paths = radii.size, out.paths // radii.size
-        count = paths - start if count is None else count
         self.model, self.delta, self.overflow_guard = model, delta, OVERFLOW_GUARD
         self.radius = np.repeat(radii, count)  # one per lane: a single kernel serves one radius or several
         self.out, self.start, self.count, self.copies, self.segment = out, start, count, copies, CHUNK_PATHS
@@ -165,7 +164,7 @@ class Lanes:
             self.compensation = compensation
             nseg = -(-count // self.segment)
             sums, sqsums = np.empty((1, nseg)), np.empty((1, nseg))
-            with np.errstate(over="ignore", invalid="ignore"):  # |x0|^(2p) may overflow: stderr at t = 0 is nan
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # |x0|^(2p) may overflow: nan stderr
                 _moment_sums(self.norms, moment_p, self.segment, sums[0], sqsums[0])
                 self.merge(0, sums, sqsums, count)
 
@@ -263,7 +262,7 @@ def simulate_path(
         raise InputError(f"path holds {path.steps} steps, {steps} requested")
     radius = scheme_radius(policy_or_radius, scheme, delta)
     run = RunResult.empty(1, steps, delta, model.dimension, record_paths=1)
-    step_paths(Lanes(model, radius, as_state(model, x0, "x0"), delta, run), path.coarse()[None, :steps])
+    step_paths(Lanes(model, radius, as_state(model, x0, "x0"), delta, run, 0, 1), path.coarse()[None, :steps])
     first = int(run.first_divergence[0])
     states = run.states[0] if first < 0 else run.states[0, : first + 1]
     return TrajectoryRecord(scheme, states[0].copy(), delta, states, first >= 0, first if first >= 0 else None)

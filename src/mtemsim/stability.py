@@ -192,8 +192,8 @@ def estimate_as_exponent(
     """Per-path decay exponents at the terminal time, with quantiles and max."""
     if _check_count("steps", steps) * _check_step("delta", delta) < 1.0:
         raise InputError(f"terminal time {steps * delta} must be >= 1 for a pathwise exponent")
-    radius = scheme_radius(policy_or_radius, scheme, delta)
-    return _pathwise_summary(run_paths(model, radius, x0, delta, steps, paths, seed, refinement, workers=workers))
+    return _pathwise_summary(_moment_run(model, policy_or_radius, scheme, None, x0, delta, steps, paths, seed,
+                                         refinement, workers))
 
 
 def fit_exponent(estimate: MomentEstimate, window: tuple[float, float]) -> ExponentFit:
@@ -237,7 +237,7 @@ def fit_exponent(estimate: MomentEstimate, window: tuple[float, float]) -> Expon
         raise EstimationError(f"least-squares fit over [{t_lo}, {t_hi}] cannot be scaled: "
                               "the squared times underflow or overflow")
     try:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             slope, intercept = np.polyfit(t_sel, y, 1)
     except np.linalg.LinAlgError as exc:
         raise EstimationError(f"least-squares fit over [{t_lo}, {t_hi}] failed: {exc}") from None

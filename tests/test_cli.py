@@ -35,6 +35,12 @@ def test_parse_config_rejects_unknown_key():
         parse_config("frobnicate=1\n")
 
 
+@pytest.mark.parametrize("text, flags", [("steps=ten\nfrobnicate=1\n", None), ("steps=ten\n", {"frobnicate": 1})])
+def test_an_unknown_key_is_reported_before_any_bad_value(text, flags):
+    with pytest.raises(ConfigError, match="^unknown configuration key 'frobnicate'$"):
+        parse_config(text, flags)
+
+
 def test_parse_config_rejects_bad_types():
     with pytest.raises(ConfigError, match="steps"):
         parse_config("steps=ten\n")
@@ -368,6 +374,25 @@ def test_python_dash_m_mtemsim_runs_the_cli_cleanly(tmp_path):
     assert (tmp_path / "s_paths.csv").exists()
 
 
+_SMALL_RUNS = {"simulate": ["--steps", "20", "--paths", "2", "--refinement", "1"],
+               "exponent": ["--steps", "20", "--paths", "2", "--refinement", "1"], "verify": [],
+               "compare": ["--steps", "2", "--paths", "2", "--refinement", "1"]}
+
+
+@pytest.mark.parametrize("command", list(_SMALL_RUNS))
+def test_every_subcommand_writes_its_files_without_the_locale_encoding(tmp_path, monkeypatch, command):
+    # no output depends on the locale: a text file opened without an encoding warns, and fails, under these flags
+    env = {**os.environ, "PYTHONPATH": str(Path(m.__file__).resolve().parents[1])}
+    argv = [command, *_SMALL_RUNS[command], "--out", "r"]
+    (tmp_path / "sub").mkdir(), (tmp_path / "in").mkdir()
+    done = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m",
+                           "mtemsim", *argv], cwd=tmp_path / "sub", env=env, capture_output=True)
+    monkeypatch.chdir(tmp_path / "in")
+    assert (done.returncode, done.stderr, main(argv)) == (0, b"", 0)
+    written = [{path.name: path.read_bytes() for path in (tmp_path / side).iterdir()} for side in ("sub", "in")]
+    assert written[0] == written[1] and "r_manifest.txt" in written[0]
+
+
 def test_drawers_close_their_pipes(tmp_path):
     # a drawer's ResourceWarning reaches its own stderr only, which pytest's hooks cannot see
     env = {**os.environ, "PYTHONPATH": str(Path(m.__file__).resolve().parents[1])}
@@ -464,6 +489,50 @@ def test_a_run_config_that_parse_config_refuses_cannot_be_built(tmp_path, monkey
         RunConfig(**fields)
     assert str(built.value) == str(parsed.value)
     assert list(tmp_path.iterdir()) == []
+
+
+def _built(how: str, fields: dict) -> RunConfig:
+    return RunConfig(**fields) if how == "built" else parse_config(flags=fields)
+
+
+@pytest.mark.parametrize("how, fields, message", [
+    pytest.param("built", {"p": np.float64(0.25)}, "p: cannot parse 'np.float64(0.25)'", id="numpy-float"),
+    pytest.param("built", {"steps": np.int64(20)}, "steps: cannot parse 'np.int64(20)'", id="numpy-int"),
+    pytest.param("built", {"x0": [2.0]}, "x0: cannot parse '[2.0]'", id="x0-list"),
+    pytest.param("built", {"steps": True}, "steps: cannot parse 'True'", id="steps-bool"),
+    pytest.param("built", {"window": [0.1, 0.5]}, "window: cannot parse '[0.1, 0.5]'", id="window-list"),
+    pytest.param("built", {"window": (0.1,)}, "window: cannot parse '0.1'", id="window-one"),
+    pytest.param("built", {"window": None}, "window: cannot parse 'None'", id="window-none"),
+    pytest.param("built", {"model": None}, "model: unknown key 'None'", id="model-none"),
+    pytest.param("flags", {"steps": 7.9}, "steps: cannot parse '7.9'", id="flag-steps-float"),
+    pytest.param("flags", {"steps": True}, "steps: cannot parse 'True'", id="flag-steps-bool"),
+    pytest.param("built", {"x0": math.nan}, "x0: must be finite, got nan", id="x0-nan"),
+    pytest.param("built", {"window": (math.nan, 1.0)},
+                 "window: fractions must satisfy 0 <= lo < hi <= 1, got nan:1.0", id="window-nan"),
+])
+def test_a_field_whose_text_does_not_read_back_as_it_is_refused(tmp_path, monkeypatch, how, fields, message):
+    # a manifest holds each field as text, so a value that its text does not read back as cannot replay
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ConfigError) as refused:
+        _built(how, fields)
+    assert str(refused.value).startswith(message) and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("how, fields, held", [
+    pytest.param("built", {"out": 5}, {"out": "5"}, id="out-int"),
+    pytest.param("built", {"steps": "20"}, {"steps": 20}, id="steps-text"),
+    pytest.param("built", {"window": "0.1:0.5"}, {"window": (0.1, 0.5)}, id="window-text"),
+    pytest.param("built", {"window": (0.4, 1)}, {"window": (0.4, 1.0)}, id="window-int"),
+    pytest.param("built", {"delta": 1, "scheme": "em"}, {"delta": 1.0, "scheme": "em"}, id="delta-int"),
+    pytest.param("flags", {"window": (0.1, 0.2)}, {"window": (0.1, 0.2)}, id="flag-window-tuple"),
+])
+def test_a_field_given_as_a_value_or_its_text_holds_what_its_manifest_reads_back_as(tmp_path, monkeypatch, how,
+                                                                                    fields, held):
+    monkeypatch.chdir(tmp_path)
+    config = _built(how, fields)
+    assert repr({key: getattr(config, key) for key in held}) == repr(held)  # the types too: 20, not "20"
+    cli._write_manifest(config, "simulate")
+    assert parse_config(text=(tmp_path / f"{config.out}_manifest.txt").read_text(encoding="utf-8")) == config
 
 
 @pytest.mark.parametrize("key, value", [("x0", "-1e9"), ("mu", "-2.5e-1"), ("sigma", "-1E3"), ("delta", "-1e-3")])

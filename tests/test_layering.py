@@ -157,3 +157,24 @@ def test_the_cli_plans_a_run_in_plan_only():
               for call in ast.walk(node) if isinstance(call, ast.Call)]
     assert [ast.unparse(call) for call in calls if all(call is not planned for planned in inside)] == []
     assert {call.func.id for call in calls} >= _PLANNERS
+
+
+def test_text_becomes_a_value_in_run_configs_post_init_only():
+    # so a field built in code, read from a file and given as a flag meet one parser, the one that replays manifests
+    tree = _tree("cli")
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "_coerce"]
+    inside = [call for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "RunConfig"
+              for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+              for call in ast.walk(node)]
+    assert [ast.unparse(call) for call in calls if all(call is not coerced for coerced in inside)] == []
+    assert calls
+
+
+def test_every_errstate_ignores_over_invalid_and_divide_and_leaves_under_to_the_caller():
+    # one floating-point rule for the package; the underflow rule is the caller's on every worker thread
+    rule = {"over": "'ignore'", "invalid": "'ignore'", "divide": "'ignore'"}
+    sites = {f"{path.stem}:{node.lineno}": {kw.arg: ast.unparse(kw.value) for kw in node.keywords}
+             for path in sorted(SRC.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "errstate"}
+    assert sites and [site for site, keywords in sites.items() if keywords != rule] == []
