@@ -335,6 +335,15 @@ def _joined_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
+# Each refusal of a run, in the order it is matched: its stderr prefix and its exit code.
+_REFUSALS = {
+    ConfigError: ("configuration error", 2), OSError: ("io error", 2), MemoryError: ("memory error", 2),
+    InputError: ("input error", 2), DomainError: ("input error", 2), BracketError: ("input error", 2),
+    EstimationError: ("estimation error", 4), EvaluationError: ("estimation error", 4),
+    DrawerError: ("drawer error", 5),
+}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(_joined_negative_values(sys.argv[1:] if argv is None else argv))
     try:
@@ -348,24 +357,10 @@ def main(argv=None) -> int:
         flags = {key: getattr(args, key) for key in _KEYS}
         config = parse_config(text=text, flags=flags)
         return run_command(args.command, config, workers=args.workers)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (InputError, DomainError, BracketError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (EstimationError, EvaluationError) as exc:
-        print(f"estimation error: {exc}", file=sys.stderr)
-        return 4
-    except DrawerError as exc:
-        print(f"drawer error: {exc}", file=sys.stderr)
-        return 5
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # e.g. steps * paths too large to record
-        print(f"memory error: {exc}", file=sys.stderr)
-        return 2
+    except tuple(_REFUSALS) as exc:
+        prefix, code = next(refusal for kind, refusal in _REFUSALS.items() if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -263,6 +263,11 @@ def _gaussian_directions(rng, count: int, dimension: int) -> tuple[np.ndarray, n
     return rows, norms
 
 
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The package's one random stream rule: Philox seeded from ``seed`` under the spawn key ``key``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+
+
 def sample_states(plan: SamplingPlan, dimension: int) -> np.ndarray:
     """Materialize the plan's sample points, shape (n_points, dimension)."""
     decades = np.log10(plan.r_max / plan.r_min)
@@ -271,8 +276,7 @@ def sample_states(plan: SamplingPlan, dimension: int) -> np.ndarray:
     radii = np.geomspace(plan.r_min, plan.r_max, n_radii)
     points = np.empty((n_radii * n_dir, dimension))
     for i, r in enumerate(radii):
-        seq = np.random.SeedSequence(entropy=plan.seed, spawn_key=(i,))
-        rows, norms = _gaussian_directions(np.random.Generator(np.random.Philox(seq)), n_dir, dimension)
+        rows, norms = _gaussian_directions(_stream(plan.seed, i), n_dir, dimension)
         points[i * n_dir : (i + 1) * n_dir] = r * (rows / norms[:, None])
     return points
 
@@ -284,12 +288,32 @@ def _check_finite(values: np.ndarray, what: str, points: np.ndarray) -> None:
         raise EvaluationError(f"{what} is not finite at x = {points[bad][0]!r}")
 
 
-def _sampled_functional(points: np.ndarray, drift: Coefficient, diffusion: Coefficient, p: float) -> np.ndarray:
-    """The stability functional of ``drift`` and ``diffusion`` at sampled points, silent but for errors."""
+def _sampled_functional(points: np.ndarray, drift: Coefficient, diffusion: Coefficient, p: float,
+                        resolution: float | None = None) -> np.ndarray:
+    """The stability functional of ``drift`` and ``diffusion`` at sampled points, silent but for errors.
+
+    With a ``resolution``, a point whose value float64 may round by more than it is an ``EvaluationError`` too.
+    """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values = functional_values(points, _coefficient_values("drift", drift, points),
-                                   _coefficient_values("diffusion", diffusion, points), p)
+        f_vals = _coefficient_values("drift", drift, points)
+        g_vals = _coefficient_values("diffusion", diffusion, points)
+        values = functional_values(points, f_vals, g_vals, p)
+        if resolution is not None:
+            # With u = eps / 2 and gamma_n = n u / (1 - n u), a dot product of d terms errs by gamma_d times the
+            # dot of their magnitudes (Higham, "Accuracy and Stability of Numerical Algorithms", 3.1).  The first
+            # term, (<x, f> + |g|^2 / 2) / |x|^2, adds a sum, a quotient and |x|^2's d roundings: gamma_{2d+2} of
+            # its magnitude.  The last, (p - 2) / 2 * <x, g>^2 / |x|^4, adds 2d for squaring <x, g> and 2d + 5 for
+            # p - 2, three products, |x|^2 twice and the quotient: gamma_{4d+5}.  Their sum adds one: gamma_{4d+6}
+            # <= (4d + 7) u of the summed magnitudes, which are the functional of |x|, |f| and |g| at 4 - p; one u
+            # more covers this bound's own rounding, so (2d + 4) eps.  While |x|^4 is normal, an underflow anywhere
+            # errs by at most a few u after its quotient, which the added 1 covers; below that, nothing is bounded.
+            magnitudes = functional_values(np.abs(points), np.abs(f_vals), np.abs(g_vals), 4.0 - p) + 1.0
+            rounding = np.where(state_norms(points) < np.finfo(float).tiny ** 0.25, np.inf,
+                                (2 * points.shape[1] + 4) * np.finfo(float).eps * magnitudes)
     _check_finite(values, "stability functional", points)
+    if resolution is not None and (unresolved := ~(rounding <= resolution)).any():
+        raise EvaluationError(f"stability functional cannot be resolved to {resolution:g} at x = "
+                              f"{points[unresolved][0]!r}: the bound on its rounding is {rounding[unresolved][0]:.3g}")
     return values
 
 

@@ -1,13 +1,13 @@
 """Brownian paths, the stepping kernel and the interpolants: the layer under :mod:`.engine`.
 
 Nothing here imports the engine, which owns the stepping loop, the overflow
-guard and ``simulate_path``.  Each path owns an independent random stream
-derived from ``SeedSequence(entropy=master_seed, spawn_key=(path_index,))``
-feeding a Philox counter-based bit generator; Gaussians come from numpy's
-``Generator.standard_normal``.  That derivation is the package's pinned
-reproducibility contract: a (master seed, path index, step, refinement,
-horizon) tuple determines a trajectory bit-for-bit, independent of execution
-order or how paths are grouped into batches.
+guard and ``simulate_path``.  Each path owns an independent random stream,
+``models._stream(master_seed, path_index)``: ``SeedSequence(entropy=master_seed,
+spawn_key=(path_index,))`` feeding a Philox counter-based bit generator, whose
+Gaussians come from ``Generator.standard_normal``.  That derivation is the
+package's pinned reproducibility contract: a (master seed, path index, step,
+refinement, horizon) tuple determines a trajectory bit-for-bit, independent of
+execution order or how paths are grouped into batches.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InputError
 from .models import (SdeModel, _at_state, _check_count, _check_real, _check_seed, _check_size, _check_step,
-                     _coefficient_values, state_norms)
+                     _coefficient_values, _stream, state_norms)
 from .truncation import resolve_radius, truncation_factors
 
 __all__ = [
@@ -39,13 +39,12 @@ DEFAULT_REFINEMENT = 16
 
 SCHEMES = ("mtem", "em")
 
-_GRID_SNAP = 1e-9
+_GRID_SNAP = 1e-9  # a time within this relative distance of a grid point or the horizon is on it
 
 
 def path_generator(master_seed: int, path_index: int) -> np.random.Generator:
     """The random stream of one path: Philox seeded from (master seed, path index)."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(path_index,))
-    return np.random.Generator(np.random.Philox(seq))
+    return _stream(master_seed, path_index)
 
 
 @dataclass(frozen=True)

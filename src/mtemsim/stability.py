@@ -18,8 +18,8 @@ from .engine import run_paths
 from .errors import EstimationError, InputError
 from .models import (LAMBDA_TOLERANCE, SamplingPlan, SdeModel, _check_count, _check_finite, _check_moment_order,
                      _check_real, _check_seed, _check_size, _check_step, _gaussian_directions, _sampled_functional,
-                     sample_states, state_norms)
-from .schemes import scheme_radius
+                     _stream, sample_states, state_norms)
+from .schemes import _GRID_SNAP, scheme_radius
 from .truncation import truncated_batch
 
 __all__ = [
@@ -211,7 +211,7 @@ def fit_exponent(estimate: MomentEstimate, window: tuple[float, float]) -> Expon
     t_lo, t_hi = _check_real("window", t_lo), _check_real("window", t_hi)
     times = estimate.times
     horizon = times[-1]
-    snap = 1e-9 * horizon
+    snap = _GRID_SNAP * horizon
     if not (t_lo < t_hi):
         raise InputError(f"fit window must satisfy t_lo < t_hi, got [{t_lo}, {t_hi}]")
     if t_lo < -snap or t_hi > horizon + snap:
@@ -300,7 +300,7 @@ def verify_lemma_global_lipschitz(
     if (outer := LIPSCHITZ_RADIUS_MULTIPLE * h) == np.inf:
         raise InputError(f"radius: 10 h must be finite, got {radius!r}")
     _check_size(4 * trials * model.dimension)  # the largest array: both coefficients at both states of each pair
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed)))
+    rng = _stream(seed)
     n_inside = n_outside = trials // 3
     n_straddle = trials - n_inside - n_outside
 
@@ -355,13 +355,15 @@ def verify_lemma_lambda_preserved(
     passes when the sampled supremum stays at or below -lam + ``LAMBDA_TOLERANCE``,
     i.e. truncation preserved the asserted decay rate.  ``lam`` must be finite
     but may have either sign, as a sampled estimate for an unstable model
-    does.  A sampled value that is not finite raises ``EvaluationError``.
+    does.  A sampled value that is not finite, or that float64 may round by
+    more than ``LAMBDA_TOLERANCE``, so that no verdict can be drawn, raises
+    ``EvaluationError``.
     """
     h = _check_step("radius", radius)
     p, lam = _check_moment_order("p", p), _check_real("lam", lam)
     points = sample_states(SamplingPlan(r_min=h / 100.0, r_max=100.0 * h, seed=seed), model.dimension)
     values = _sampled_functional(points, lambda s: truncated_batch(model.drift, s, h),
-                                 lambda s: truncated_batch(model.diffusion, s, h), p)
+                                 lambda s: truncated_batch(model.diffusion, s, h), p, LAMBDA_TOLERANCE)
     sup = float(np.max(values))
     return LambdaPreservationReport(h, p, lam, sup, float(np.min(values)), int(values.size),
                                     LAMBDA_TOLERANCE, sup <= -lam + LAMBDA_TOLERANCE)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -14,7 +15,8 @@ import pytest
 import mtemsim as m
 from mtemsim import cli, engine
 from mtemsim.cli import RunConfig, main, parse_config, run_command
-from mtemsim.errors import ConfigError
+from mtemsim.errors import (BracketError, ConfigError, DomainError, DrawerError, EstimationError, EvaluationError,
+                            InputError)
 
 
 def test_parse_config_defaults():
@@ -181,6 +183,46 @@ def test_main_exit_codes(tmp_path):
     assert main(["exponent", "--model", "example41", "--scheme", "em", "--delta", "5e-4",
                  "--steps", "400", "--paths", "4", "--seed", "2", "--refinement", "1",
                  "--x0", "1000.0", "--window", "0.5:1.0", "--out", str(out)]) == 4
+
+
+# Each refusal of a run, as the module docstring documents it: its class, its stderr prefix and its exit code.
+REFUSALS = [
+    (ConfigError, "configuration error", 2), (InputError, "input error", 2), (DomainError, "input error", 2),
+    (BracketError, "input error", 2), (OSError, "io error", 2), (MemoryError, "memory error", 2),
+    (EstimationError, "estimation error", 4), (EvaluationError, "estimation error", 4),
+    (DrawerError, "drawer error", 5),
+]
+
+
+@pytest.mark.parametrize("kind, prefix, code", [*REFUSALS, (FileNotFoundError, "io error", 2)],
+                         ids=lambda value: value.__name__ if isinstance(value, type) else None)
+def test_each_refusal_prints_one_line_and_exits_with_its_code(tmp_path, monkeypatch, capsys, kind, prefix, code):
+    def refuse(subcommand, config, workers=1):
+        raise kind("the run cannot go on")
+
+    monkeypatch.setattr(cli, "run_command", refuse)
+    assert main(["simulate", "--out", str(tmp_path / "r")]) == code
+    assert capsys.readouterr() == ("", f"{prefix}: the run cannot go on\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_cli_refuses_exactly_the_documented_errors(tmp_path, monkeypatch):
+    assert cli._REFUSALS == {kind: (prefix, code) for kind, prefix, code in REFUSALS}
+
+    def fail(subcommand, config, workers=1):
+        raise RuntimeError("a defect, not a refusal")
+
+    monkeypatch.setattr(cli, "run_command", fail)
+    with pytest.raises(RuntimeError, match="a defect, not a refusal"):
+        main(["simulate", "--out", str(tmp_path / "r")])
+
+
+def test_verify_exits_4_where_float64_cannot_resolve_the_lambda_check(tmp_path, capsys):
+    # at delta = 1e-50 example41's radius is about 5.8e4, where the functional's terms near 6 h^2 cancel to -1
+    assert main(["verify", "--delta", "1e-50", "--out", str(tmp_path / "v")]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("estimation error: stability functional cannot be resolved to 1e-06 at x = ")
+    assert err.count("\n") == 1 and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -401,6 +443,28 @@ def test_drawers_close_their_pipes(tmp_path):
     done = subprocess.run([sys.executable, "-X", "dev", "-m", "mtemsim", *argv], env=env, capture_output=True,
                           text=True)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_python_m_mtemsim_exits_with_the_clis_code(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(m.__file__).resolve().parents[1])}
+    argv = ["simulate", "--delta", "1e-2", "--out", str(tmp_path / "r")]
+    done = subprocess.run([sys.executable, "-m", "mtemsim", *argv], env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stderr.startswith("configuration error: delta: ")
+
+
+def test_a_failed_verdict_exits_3_with_its_files_written(tmp_path, monkeypatch):
+    verify_step_condition = cli.verify_step_condition
+    monkeypatch.setattr(cli, "verify_step_condition",
+                        lambda *args: dataclasses.replace(verify_step_condition(*args), passed=False))
+    assert main(["verify", "--out", str(tmp_path / "v")]) == 3
+    assert (tmp_path / "v_lemmas.csv").read_text().endswith("step_condition_monotone,,,fail\n")
+    assert (tmp_path / "v_manifest.txt").exists()
+
+
+def test_compare_writes_the_trajectories_of_the_first_four_paths_only(tmp_path):
+    assert main(["compare", "--steps", "5", "--paths", "6", "--refinement", "1", "--out", str(tmp_path / "c")]) == 0
+    rows = (tmp_path / "c_compare.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == [i for i in range(4) for _ in range(6)]
 
 
 @pytest.mark.parametrize("workers", ["0", "-5"])

@@ -567,6 +567,25 @@ def _kill_the_drawer_of_path_700(monkeypatch):
     monkeypatch.setattr(engine, "path_generator", generator)
 
 
+@pytest.mark.parametrize("x0, first", [(5e9, -1), (5e10, 1)])
+def test_a_lane_freezes_once_its_norm_passes_1e10(x0, first):
+    # from 5e10 both lanes are beyond the guard after one step; from 5e9 neither reaches it in five
+    assert run_paths(m.example41(), 1.0913, x0, 5e-4, 5, 2, 3).first_divergence.tolist() == [first, first]
+
+
+def test_closing_kills_and_reaps_a_drawer_that_never_replies_after_one_second():
+    drawers = engine._Drawers()
+    assert drawers.start(2, lambda rank, start, k0, half: time.sleep(60)) == 2
+    pids = drawers.pids
+    drawers.send(0, 0, 0)  # each drawer now sleeps in its draw, deaf to the end of its command pipe
+    begun = time.monotonic()
+    drawers.close()
+    assert 1.0 <= time.monotonic() - begun < 3.0
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def test_a_drawer_that_dies_without_replying_is_a_drawer_error(monkeypatch):
     # path 700 of 1,024 lies in paths 512 to 1,023, the second half, which drawer 1 of 2 draws
     baseline = threading.active_count()

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import mtemsim as m
-from mtemsim import engine, schemes
+from mtemsim import engine, errors, schemes
 
 SRC = Path(m.__file__).parent
 
@@ -178,3 +178,24 @@ def test_every_errstate_ignores_over_invalid_and_divide_and_leaves_under_to_the_
              for path in sorted(SRC.glob("*.py")) for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "errstate"}
     assert sites and [site for site, keywords in sites.items() if keywords != rule] == []
+
+
+def test_every_random_stream_is_built_in_models_stream_only():
+    # so the per-path streams, the sampled radii's and the Lipschitz verifier's all follow one rule
+    def builds(tree: ast.AST) -> list[ast.Call]:
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("SeedSequence", "Philox", "Generator")]
+
+    trees = {path.stem: _tree(path.stem) for path in sorted(SRC.glob("*.py"))}
+    inside = [call for node in ast.walk(trees["models"]) if isinstance(node, ast.FunctionDef)
+              and node.name == "_stream" for call in builds(node)]
+    found = [f"{name}: {ast.unparse(call)}" for name, tree in trees.items()
+             for call in builds(tree) if all(call is not built for built in inside)]
+    assert found == []
+    assert len(inside) == 3
+
+
+def test_every_error_the_package_defines_is_an_mtem_error():
+    # so a caller that catches MtemError catches every refusal of the library, a dead drawer's too
+    defined = [value for value in vars(errors).values() if isinstance(value, type) and issubclass(value, Exception)]
+    assert len(defined) == 8 and all(issubclass(error, m.MtemError) for error in defined)

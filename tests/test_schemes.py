@@ -185,6 +185,27 @@ def test_continuous_interpolant_rejects_off_grid(ex41, ex41_policy):
         m.interpolate_continuous_mtem(ex41, h, rec, path, 11 * delta)
 
 
+@pytest.mark.parametrize("offset, refused", [(1e-7, True), (1e-10, False)])
+def test_the_interpolants_snap_a_time_to_the_grid_within_the_grid_snap_only(ex41, ex41_policy, offset, refused):
+    # a relative 1e-9: a time 1e-7 past the horizon or off a fine grid point is refused, 1e-10 is on it
+    delta = 5e-4
+    path = m.BrownianPath.generate(12, 0, delta, 10, refinement=4)
+    rec = m.simulate_path(ex41, ex41_policy, "mtem", 1.0, delta, 10, path)
+    h = ex41_policy.radius(delta)
+    past_end, fine_point = 10 * delta * (1.0 + offset), 10 * (delta / 4) * (1.0 + offset)
+    below = m.interpolate_step_process(rec, 7 * delta * (1.0 - offset))  # snaps up to step 7, or floors to 6
+    np.testing.assert_array_equal(below, rec.states[6 if refused else 7])
+    if refused:
+        with pytest.raises(InputError, match="outside the recorded horizon"):
+            m.interpolate_step_process(rec, past_end)
+        with pytest.raises(InputError, match="is not on the fine grid"):
+            m.interpolate_continuous_mtem(ex41, h, rec, path, fine_point)
+    else:
+        np.testing.assert_array_equal(m.interpolate_step_process(rec, past_end), rec.states[10])
+        np.testing.assert_array_equal(m.interpolate_continuous_mtem(ex41, h, rec, path, fine_point),
+                                      m.interpolate_continuous_mtem(ex41, h, rec, path, 10 * (delta / 4)))
+
+
 def test_single_path_matches_batched_engine(ex41, ex41_policy):
     # grouping paths into batches must not change a single bit
     delta, steps = 5e-4, 300

@@ -12,9 +12,9 @@ import mtemsim as m
 from mtemsim import engine
 from mtemsim.engine import run_paths
 from mtemsim.errors import EstimationError, EvaluationError, InputError, MtemError
-from mtemsim.models import SamplingPlan, functional_values, sample_states
+from mtemsim.models import LAMBDA_TOLERANCE, SamplingPlan, functional_values, sample_states
 from mtemsim.engine import RunResult
-from mtemsim.stability import MomentEstimate, UNDERFLOW_FLOOR, _pathwise_summary
+from mtemsim.stability import LambdaPreservationReport, MomentEstimate, UNDERFLOW_FLOOR, _pathwise_summary
 from mtemsim.truncation import truncated_batch
 
 
@@ -98,6 +98,39 @@ def test_fit_exponent_window_validation():
         m.fit_exponent(est, (0.5, 0.2))
     with pytest.raises(InputError):
         m.fit_exponent(est, (0.0, 2.0))  # outside the horizon
+
+
+@pytest.mark.parametrize("points, refused", [(9, True), (10, False)])
+def test_a_fit_window_needs_ten_grid_points_and_ten_usable_ones(points, refused):
+    times = np.arange(21) * 0.125  # exact in binary: the window ends on a grid point
+    est = MomentEstimate(times, np.exp(-times), np.zeros_like(times), np.full(times.size, 5), 5, 0.5, 0)
+    window = (0.0, (points - 1) * 0.125)
+    alive = np.where(np.arange(times.size) < points, 5, 0)
+    means = np.where(alive > 0, np.exp(-times), np.nan)
+    short_lived = MomentEstimate(times, means, np.zeros_like(times), alive, 5, 0.5, 5)
+    if refused:
+        with pytest.raises(InputError, match="fewer than 10 grid points"):
+            m.fit_exponent(est, window)
+        with pytest.raises(EstimationError, match="fewer than 10 usable points"):
+            m.fit_exponent(short_lived, (0.0, 2.5))
+    else:
+        assert m.fit_exponent(est, window).slope == pytest.approx(-1.0, abs=1e-12)
+        assert m.fit_exponent(short_lived, (0.0, 2.5)).slope == pytest.approx(-1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("window, refused", [
+    ((0.0, 2.5 * (1.0 + 1e-7)), True), ((-2.5e-7, 2.5), True),
+    ((0.0, 2.5 * (1.0 + 1e-10)), False), ((-2.5e-10, 2.5), False),
+], ids=["past_end_1e-7", "before_start_1e-7", "past_end_1e-10", "before_start_1e-10"])
+def test_a_fit_window_snaps_to_the_horizon_within_the_grid_snap_only(window, refused):
+    # the interpolants' snap, relative to the horizon: 1e-9
+    times = np.arange(21) * 0.125
+    est = MomentEstimate(times, np.exp(-times), np.zeros_like(times), np.full(times.size, 5), 5, 0.5, 0)
+    if refused:
+        with pytest.raises(InputError, match="outside the horizon"):
+            m.fit_exponent(est, window)
+    else:
+        assert m.fit_exponent(est, window).slope == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_fit_exponent_raises_when_paths_gone():
@@ -184,6 +217,21 @@ def test_as_exponent_requires_unit_horizon(ex41, ex41_policy):
         m.estimate_as_exponent(ex41, ex41_policy, 1.0, 5e-4, 100, 8, seed=6)
 
 
+def test_as_exponent_needs_a_horizon_of_at_least_one():
+    model = m.linear(-1.0, 0.5)
+    with pytest.raises(InputError, match="terminal time 0.75 must be >= 1"):
+        m.estimate_as_exponent(model, math.inf, 1.0, 0.25, 3, 8, seed=6)
+    assert m.estimate_as_exponent(model, math.inf, 1.0, 0.25, 4, 8, seed=6).horizon == 1.0
+
+
+def test_a_moment_above_the_floor_of_1e_300_is_fitted_not_censored():
+    times = np.linspace(0.0, 1.0, 11)
+    means = 1e-250 * np.power(1e-4, 10.0 * times)  # 1e-250 down to 1e-290
+    est = MomentEstimate(times, means, np.zeros_like(times), np.full(times.size, 5), 5, 0.5, 0)
+    fit = m.fit_exponent(est, (0.0, 1.0))
+    assert fit.censored == 0 and fit.slope == pytest.approx(-40.0 * math.log(10.0), rel=1e-9)
+
+
 def test_as_exponent_quantile_ordering(ex41, ex41_policy):
     summary = m.estimate_as_exponent(ex41, ex41_policy, 2.0, 5e-4, 2000, 64, seed=8)
     assert summary.q05 <= summary.q50 <= summary.q95 <= summary.max_exponent
@@ -225,6 +273,17 @@ def test_lemma_global_lipschitz_linear_ratio():
     # homogeneous coefficients are untouched by truncation
     assert report.max_ratio_drift == pytest.approx(2.0, rel=1e-12)
     assert report.max_ratio_diffusion == pytest.approx(0.5, rel=1e-12)
+
+
+def test_a_difference_quotient_beyond_3_lh_by_a_relative_1e_6_fails_the_lipschitz_report():
+    # the drift 3x has difference quotient 3 everywhere: exactly 3 L_h for L = 1, beyond it by 1e-6 for L = 1 - 1e-6,
+    # which the relative slack of 1e-9 does not cover
+    def model(level):
+        return m.SdeModel("three_x", 1, lambda x: 3.0 * x, lambda x: 0.0 * x, lambda radius: level)
+
+    assert m.verify_lemma_global_lipschitz(model(1.0), 1.0, trials=300).passed
+    short = m.verify_lemma_global_lipschitz(model(1.0 - 1e-6), 1.0, trials=300)
+    assert not short.drift_passed and short.diffusion_passed
 
 
 def test_lemma_global_lipschitz_validation(ex41):
@@ -280,6 +339,31 @@ def test_lambda_verifier_refuses_a_functional_that_is_not_finite():
     model = m.SdeModel("blows_up", 1, lambda x: np.where(x > 0.3, np.inf, -x), lambda x: 0.0 * x, lambda r: 1.0)
     with pytest.raises(EvaluationError, match="stability functional is not finite"):
         m.verify_lemma_lambda_preserved(model, 1.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("radius", [5e4, 1e8, 1e20, 1e-78], ids=repr)
+def test_lambda_verifier_refuses_a_radius_where_float64_cannot_resolve_the_functional(ex41, radius):
+    # at p = 1/2 example41's functional is -1 from terms near 6 |x|^2 that cancel: at 5e4 their rounding
+    # exceeds the tolerance, at 1e8 the sampled supremum reads 8; at 1e-78, |x|^4 is subnormal
+    with warnings.catch_warnings(), pytest.raises(EvaluationError, match=re.escape(
+            f"stability functional cannot be resolved to {LAMBDA_TOLERANCE:g} at x = ")):
+        warnings.simplefilter("error")
+        m.verify_lemma_lambda_preserved(ex41, radius, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("radius, supremum, minimum", [
+    (2.0, -0.9999999999999964, -1.0000000000000036),
+    (1e3, -0.9999999990686774, -1.0000000009313226),
+], ids=repr)
+def test_lambda_verifier_reports_a_radius_it_can_resolve_as_before(ex41, radius, supremum, minimum):
+    report = m.verify_lemma_lambda_preserved(ex41, radius, 0.5, 1.0)
+    assert report == LambdaPreservationReport(radius, 0.5, 1.0, supremum, minimum, 528, 1e-6, True)
+
+
+def test_lambda_verifier_resolves_a_linear_model_at_any_radius():
+    # its functional, mu + sigma^2 / 2 + (p - 2) / 2 sigma^2, has no term that grows with the radius
+    report = m.verify_lemma_lambda_preserved(m.linear(-1.0, 0.5), 1e20, 0.5, 1.0)
+    assert report.passed and report.supremum == pytest.approx(-1.0625, rel=1e-15)
 
 
 # Warnings are errors in this suite, so each case also checks that no numpy

@@ -40,6 +40,11 @@ def test_derive_h_default_bracket_expands():
         m.derive_h_from_lipschitz(lambda r: 1.0, 1e-22)
 
 
+def test_derive_h_finds_a_root_that_only_the_fourth_widening_reaches():
+    # the bracket's upper end is 1e9, then 1e12, 1e15, 1e18 and 1e21
+    assert m.derive_h_from_lipschitz(lambda r: 1.0, 1e-20) == pytest.approx(1e20, rel=1e-9)
+
+
 def test_derive_h_rejects_bad_tol(ex41):
     with pytest.raises(InputError):
         m.derive_h_from_lipschitz(ex41.lipschitz_bound, 1e-5, tol=-1.0)
